@@ -32,6 +32,7 @@ from .kernels import KernelBinding, KernelError, ThreadContext, default_bindings
 from .policy import FAIL_FAST, FaultPolicy, TransportError
 from .probes import ProbeEvent, Trace
 from .striping import plan_remote_traffic, plan_remote_traffic_delta
+from .transfer import Transfer
 
 __all__ = ["SageRuntime", "RunResult", "RuntimeError_"]
 
@@ -138,7 +139,9 @@ class SageRuntime:
         # own exclusively, so one tenant's membership change cannot evict
         # another tenant's cached placements (see repro.perf.cache).
         self.job_scope = job_scope
-        self._live_procs: List[Process] = []
+        # Unfinished message transfers, in spawn order (a dict as an ordered
+        # set): what recovery has to cancel.
+        self._in_flight: Dict[Transfer, None] = {}
         # Shrinking recovery state: placement overrides installed after a
         # permanent node loss (consulted by processor_of), the processors
         # still in the working set, and the heartbeat detector race event.
@@ -337,7 +340,6 @@ class SageRuntime:
                         name=f"{entry['name']}[{t}]#{k}",
                     )
                 )
-        self._live_procs = list(procs)
         return procs
 
     def _build_result(self, iterations: int) -> RunResult:
@@ -383,7 +385,7 @@ class SageRuntime:
                     if restarts_left <= 0:
                         raise
                     restarts_left -= 1
-                    self._recover(k, snapshot, exc)
+                    self._recover(k, snapshot, exc, procs)
         return self._build_result(iterations)
 
     def _run_iteration(self, procs: List[Process]) -> None:
@@ -486,15 +488,17 @@ class SageRuntime:
             if ev is not None and not ev.triggered:
                 ev.succeed((target, time))
 
-    def _recover(self, k: int, snapshot: List[dict], exc: BaseException) -> None:
+    def _recover(self, k: int, snapshot: List[dict], exc: BaseException,
+                 procs: List[Process]) -> None:
         """Roll iteration ``k`` back to its checkpoint after a fault."""
-        # Kill every straggler of the failed attempt before state is reset;
-        # they die at the current instant via the Interrupt handlers in
-        # _thread_proc/_transfer_proc, releasing any held resources.
-        for proc in self._live_procs:
+        # Kill every straggler of the failed attempt (its thread processes,
+        # then its transfers in spawn order) before state is reset; they die
+        # at the current instant, releasing any held resources.
+        for proc in procs:
             if proc.is_alive:
                 proc.interrupt("fault recovery")
-        self._live_procs = []
+        for transfer in list(self._in_flight):
+            transfer.cancel()
         injector = self.cluster.faults
         revived: List[int] = []
         if injector is not None:
@@ -590,19 +594,9 @@ class SageRuntime:
             self._drain_relapse.pop(node, None)
             self._straggler_strikes.pop(node, None)
 
-        old_proc: Dict[Tuple[int, int], int] = {}
-        current = Mapping()
-        for fid, entry in sorted(self.functions.items()):
-            for t in range(entry["threads"]):
-                p = self.processor_of(fid, t)
-                old_proc[(fid, t)] = p
-                current.assign(fid, t, p)
+        old_proc, current, _ = self._placement()
         new_map = shrink_mapping(current, targets)
-        moved_keys = []
-        for (fid, t), p in new_map.items():
-            if p != old_proc[(fid, t)]:
-                self._proc_override[(fid, t)] = p
-                moved_keys.append((fid, t))
+        moved_keys = self._install_placement(new_map, old_proc)
         self._active_processors = survivor_set
         self._lost_processors = sorted(set(self._lost_processors) | set(dead))
         self._probe_runtime(
@@ -633,32 +627,76 @@ class SageRuntime:
                     return cand
             raise RuntimeError_("no surviving mirror")  # pragma: no cover
 
-        transfers: List[Tuple[int, int, int, str]] = []
-        for buf in self.buffers:
+        regions, total = self._ship_moved_regions(
+            old_proc, new_map, k, "restripe", holder=mirror_of
+        )
+        self._probe_runtime(
+            "restripe",
+            detail=(
+                f"{regions} region(s) redistributed onto "
+                f"{len(survivors)} survivor(s)"
+            ),
+            iteration=k,
+            nbytes=total,
+        )
+
+    def _placement(self) -> Tuple[Dict[Tuple[int, int], int], Mapping, Mapping]:
+        """Where every thread runs now, as a lookup table and as a Mapping,
+        and the Mapping the glue first gave it."""
+        now: Dict[Tuple[int, int], int] = {}
+        current, original = Mapping(), Mapping()
+        for fid, entry in sorted(self.functions.items()):
+            for t in range(entry["threads"]):
+                p = self.processor_of(fid, t)
+                now[(fid, t)] = p
+                current.assign(fid, t, p)
+                original.assign(fid, t, self.glue.processor_of(fid, t))
+        return now, current, original
+
+    def _install_placement(
+        self, new_map: Mapping, old_proc: Dict[Tuple[int, int], int]
+    ) -> List[Tuple[int, int]]:
+        """Make ``processor_of`` answer from ``new_map`` (overrides only
+        where it departs from the glue); returns the threads that moved."""
+        moved_keys: List[Tuple[int, int]] = []
+        for key, p in new_map.items():
+            if p != old_proc[key]:
+                moved_keys.append(key)
+            if p == self.glue.processor_of(*key):
+                self._proc_override.pop(key, None)
+            else:
+                self._proc_override[key] = p
+        return moved_keys
+
+    def _ship_moved_regions(
+        self,
+        old_proc: Dict[Tuple[int, int], int],
+        new_map: Mapping,
+        k: int,
+        tag: str,
+        holder: Callable[[int], int] = lambda proc: proc,
+    ) -> Tuple[int, int]:
+        """Ship the checkpointed region of every thread that moved, from
+        ``holder(old owner)`` to the new owner, as real fabric transfers
+        whose cost lands in the makespan.  Returns ``(regions, bytes)``."""
+        transfers = [
+            (holder(old), new, nbytes, label)
+            for buf in self.buffers
             for old, new, nbytes, label in moved_region_transfers(
                 buf, lambda f, t: old_proc[(f, t)], new_map.processor_of
-            ):
-                transfers.append((mirror_of(old), new, nbytes, label))
+            )
+        ]
         procs = [
             self.env.process(
                 self._restripe_transfer(src, dst, nbytes, label, k),
-                name=f"restripe:{label}",
+                name=f"{tag}:{label}",
             )
             for src, dst, nbytes, label in transfers
             if src != dst and nbytes > 0
         ]
         if procs:
             self.env.run(until=self.env.all_of(procs))
-        total = sum(nbytes for _, _, nbytes, _ in transfers)
-        self._probe_runtime(
-            "restripe",
-            detail=(
-                f"{len(transfers)} region(s) redistributed onto "
-                f"{len(survivors)} survivor(s)"
-            ),
-            iteration=k,
-            nbytes=total,
-        )
+        return len(transfers), sum(nbytes for _, _, nbytes, _ in transfers)
 
     def _jittered(self, delay: float) -> float:
         """Scale a backoff sleep by the policy's seeded jitter.
@@ -776,24 +814,9 @@ class SageRuntime:
         if not replacements:
             return
 
-        old_proc: Dict[Tuple[int, int], int] = {}
-        current = Mapping()
-        original = Mapping()
-        for fid, entry in sorted(self.functions.items()):
-            for t in range(entry["threads"]):
-                p = self.processor_of(fid, t)
-                old_proc[(fid, t)] = p
-                current.assign(fid, t, p)
-                original.assign(fid, t, self.glue.processor_of(fid, t))
+        old_proc, current, original = self._placement()
         new_map = grow_mapping(current, original, replacements)
-        moved_keys: List[Tuple[int, int]] = []
-        for key, p in new_map.items():
-            if p != old_proc[key]:
-                moved_keys.append(key)
-            if p == self.glue.processor_of(*key):
-                self._proc_override.pop(key, None)
-            else:
-                self._proc_override[key] = p
+        moved_keys = self._install_placement(new_map, old_proc)
         self._active_processors |= set(replacements.values())
         self._lost_processors = [p for p in lost if p not in replacements]
         self._probe_runtime(
@@ -813,28 +836,13 @@ class SageRuntime:
         # Moved regions travel from their live current owner (a survivor) to
         # the restored owner — unlike shrinking recovery, no ring mirror is
         # needed because the old owner is alive.
-        transfers: List[Tuple[int, int, int, str]] = []
-        for buf in self.buffers:
-            transfers.extend(moved_region_transfers(
-                buf, lambda f, t: old_proc[(f, t)], new_map.processor_of
-            ))
-        procs = [
-            self.env.process(
-                self._restripe_transfer(src, dst, nbytes, label, k),
-                name=f"migrate:{label}",
-            )
-            for src, dst, nbytes, label in transfers
-            if src != dst and nbytes > 0
-        ]
-        if procs:
-            self.env.run(until=self.env.all_of(procs))
-        total = sum(nbytes for _, _, nbytes, _ in transfers)
+        regions, total = self._ship_moved_regions(old_proc, new_map, k, "migrate")
         pause = self.env.now - quiesce_at
         REGISTRY.record("runtime.migration_pause_s", pause)
         self._probe_runtime(
             "migrate",
             detail=(
-                f"{len(transfers)} region(s) migrated back in "
+                f"{regions} region(s) migrated back in "
                 f"{pause:.6f}s pause"
             ),
             iteration=k,
@@ -952,22 +960,9 @@ class SageRuntime:
         zero threads afterwards until probation restores it.
         """
         quiesce_at = self.env.now
-        old_proc: Dict[Tuple[int, int], int] = {}
-        current = Mapping()
-        for fid, entry in sorted(self.functions.items()):
-            for t in range(entry["threads"]):
-                p = self.processor_of(fid, t)
-                old_proc[(fid, t)] = p
-                current.assign(fid, t, p)
+        old_proc, current, _ = self._placement()
         new_map = shrink_mapping(current, healthy, balanced=True)
-        moved_keys: List[Tuple[int, int]] = []
-        for key, p in new_map.items():
-            if p != old_proc[key]:
-                moved_keys.append(key)
-            if p == self.glue.processor_of(*key):
-                self._proc_override.pop(key, None)
-            else:
-                self._proc_override[key] = p
+        moved_keys = self._install_placement(new_map, old_proc)
         for p in stragglers:
             self._drained.add(p)
             self._drain_probation[p] = 0
@@ -981,22 +976,7 @@ class SageRuntime:
         if self.config.enforce_memory:
             self._check_memory_footprint()
 
-        transfers: List[Tuple[int, int, int, str]] = []
-        for buf in self.buffers:
-            transfers.extend(moved_region_transfers(
-                buf, lambda f, t: old_proc[(f, t)], new_map.processor_of
-            ))
-        procs = [
-            self.env.process(
-                self._restripe_transfer(src, dst, nbytes, label, k),
-                name=f"drain:{label}",
-            )
-            for src, dst, nbytes, label in transfers
-            if src != dst and nbytes > 0
-        ]
-        if procs:
-            self.env.run(until=self.env.all_of(procs))
-        total = sum(nbytes for _, _, nbytes, _ in transfers)
+        regions, total = self._ship_moved_regions(old_proc, new_map, k, "drain")
         pause = self.env.now - quiesce_at
         REGISTRY.record("runtime.straggler_pause_s", pause)
         self._probe_runtime(
@@ -1049,24 +1029,9 @@ class SageRuntime:
         concurrent degraded-mode state.
         """
         quiesce_at = self.env.now
-        old_proc: Dict[Tuple[int, int], int] = {}
-        current = Mapping()
-        original = Mapping()
-        for fid, entry in sorted(self.functions.items()):
-            for t in range(entry["threads"]):
-                p = self.processor_of(fid, t)
-                old_proc[(fid, t)] = p
-                current.assign(fid, t, p)
-                original.assign(fid, t, self.glue.processor_of(fid, t))
+        old_proc, current, original = self._placement()
         new_map = grow_mapping(current, original, {p: p for p in nodes})
-        moved_keys: List[Tuple[int, int]] = []
-        for key, p in new_map.items():
-            if p != old_proc[key]:
-                moved_keys.append(key)
-            if p == self.glue.processor_of(*key):
-                self._proc_override.pop(key, None)
-            else:
-                self._proc_override[key] = p
+        moved_keys = self._install_placement(new_map, old_proc)
         for p in nodes:
             self._drained.discard(p)
             self._drain_probation.pop(p, None)
@@ -1075,22 +1040,7 @@ class SageRuntime:
         if self.config.enforce_memory:
             self._check_memory_footprint()
 
-        transfers: List[Tuple[int, int, int, str]] = []
-        for buf in self.buffers:
-            transfers.extend(moved_region_transfers(
-                buf, lambda f, t: old_proc[(f, t)], new_map.processor_of
-            ))
-        procs = [
-            self.env.process(
-                self._restripe_transfer(src, dst, nbytes, label, k),
-                name=f"restore:{label}",
-            )
-            for src, dst, nbytes, label in transfers
-            if src != dst and nbytes > 0
-        ]
-        if procs:
-            self.env.run(until=self.env.all_of(procs))
-        total = sum(nbytes for _, _, nbytes, _ in transfers)
+        regions, total = self._ship_moved_regions(old_proc, new_map, k, "restore")
         pause = self.env.now - quiesce_at
         REGISTRY.record("runtime.straggler_pause_s", pause)
         self._probe_runtime(
@@ -1238,11 +1188,7 @@ class SageRuntime:
             # redistributions don't all target destination 0 first (ejection
             # convoys); this is the schedule a pairwise exchange produces.
             for msg in buf.send_order(thread):
-                proc = self.env.process(
-                    self._transfer_proc(buf, msg, iteration, entry),
-                    name=f"xfer:{buf.name}#{iteration}",
-                )
-                self._live_procs.append(proc)
+                Transfer(self, buf, msg, iteration, entry, node)
 
         if track_progress:
             per_node = self._iter_busy.setdefault(iteration, {})
@@ -1267,76 +1213,6 @@ class SageRuntime:
             )
         table = self._buf_recv_remote if receive else self._buf_send_remote
         return table.get((buf.buffer_id, thread), 0)
-
-    def _transfer_proc(self, buf: RuntimeBuffer, msg, iteration: int, src_entry: dict):
-        try:
-            yield from self._transfer_body(buf, msg, iteration, src_entry)
-        except Interrupt:
-            return
-
-    def _transfer_body(self, buf: RuntimeBuffer, msg, iteration: int, src_entry: dict):
-        src_proc = self.processor_of(buf.src_function, msg.src_thread)
-        dst_proc = self.processor_of(buf.dst_function, msg.dst_thread)
-        node = self.cluster.node(src_proc)
-        if self.config.striping_overhead_per_message > 0:
-            yield from node.busy(self.config.striping_overhead_per_message)
-        self._probe(
-            "send", src_entry, msg.src_thread, iteration, src_proc,
-            detail=buf.name, nbytes=msg.nbytes,
-        )
-        if src_proc != dst_proc:
-            yield from self._deliver(buf, msg, iteration, src_proc, dst_proc)
-        dst_entry = self.functions[buf.dst_function]
-        self._probe(
-            "arrive", dst_entry, msg.dst_thread, iteration, dst_proc,
-            detail=buf.name, nbytes=msg.nbytes,
-        )
-        events = self._arrival_events(buf, iteration, msg.dst_thread)
-        events[buf.message_slot(msg)].succeed()
-
-    def _deliver(self, buf: RuntimeBuffer, msg, iteration: int,
-                 src_proc: int, dst_proc: int):
-        """Move one planned message across the fabric, retrying transient
-        losses when the policy allows (an ack-protocol model: the sender
-        observes the delivery verdict and retransmits)."""
-        policy = self.fault_policy
-        attempts = 1 + (policy.max_retries if policy.retries_transfers else 0)
-        delay = policy.backoff
-        failure: Any = None
-        for attempt in range(1, attempts + 1):
-            try:
-                outcome = yield from self.cluster.transfer(
-                    src_proc, dst_proc, msg.nbytes
-                )
-            except LinkFailure as exc:
-                # Link outages may heal; node crashes (NodeFailure) always
-                # propagate — the transfer level cannot restart a node.
-                if attempt >= attempts:
-                    raise
-                failure = exc
-            else:
-                if outcome.ok:
-                    return
-                failure = outcome.reason
-                if attempt >= attempts:
-                    break
-            self._probe_runtime(
-                "retry",
-                detail=(
-                    f"{buf.name}#{iteration} {src_proc}->{dst_proc} "
-                    f"attempt {attempt}: {failure}"
-                ),
-                processor=src_proc,
-                iteration=iteration,
-            )
-            if delay > 0:
-                yield self.env.timeout(self._jittered(delay))
-            delay *= policy.backoff_factor
-        raise TransportError(
-            f"message {buf.name}#{iteration} from processor {src_proc} to "
-            f"{dst_proc} undelivered: {failure}; gave up after {attempts} "
-            f"attempt(s) at t={self.env.now:.6f}"
-        )
 
     # -- helpers ---------------------------------------------------------------
     def _make_ctx(self, entry: dict, thread: int, iteration: int) -> ThreadContext:
@@ -1385,21 +1261,12 @@ class SageRuntime:
         detail: str = "",
         nbytes: int = 0,
     ) -> None:
-        if not self.trace.enabled:
-            return  # skip the ProbeEvent allocation entirely
-        self.trace.record(
-            ProbeEvent(
-                time=self.env.now,
-                kind=kind,
-                function=entry["name"],
-                function_id=entry["id"],
-                thread=thread,
-                processor=processor,
-                iteration=iteration,
-                detail=detail,
-                nbytes=nbytes,
-            )
-        )
+        trace = self.trace
+        if trace.enabled:  # else skip the ProbeEvent allocation entirely
+            trace.events.append(ProbeEvent(
+                self.env.now, kind, entry["name"], entry["id"], thread,
+                processor, iteration, detail, nbytes,
+            ))
 
     def _probe_runtime(
         self,
@@ -1411,21 +1278,10 @@ class SageRuntime:
     ) -> None:
         """Record a probe not tied to any application function (fault events,
         retries, checkpoints, detector verdicts, shrink/restripe)."""
-        if not self.trace.enabled:
-            return
-        self.trace.record(
-            ProbeEvent(
-                time=self.env.now,
-                kind=kind,
-                function="<runtime>",
-                function_id=-1,
-                thread=0,
-                processor=processor,
-                iteration=iteration,
-                detail=detail,
-                nbytes=nbytes,
-            )
-        )
+        self.trace.record(ProbeEvent(
+            self.env.now, kind, "<runtime>", -1, 0, processor, iteration,
+            detail, nbytes,
+        ))
 
     def _on_fault_injected(self, time: float, kind: str, detail: str,
                            node: int) -> None:
@@ -1433,15 +1289,7 @@ class SageRuntime:
             # Replacement capacity powered on; absorbed at the next iteration
             # boundary by _maybe_grow (grow_restripe policy only).
             self._pending_joins.append(node)
-        self.trace.record(
-            ProbeEvent(
-                time=time,
-                kind="fault_injected",
-                function="<fault>",
-                function_id=-1,
-                thread=0,
-                processor=node,
-                iteration=-1,
-                detail=f"{kind}: {detail}",
-            )
-        )
+        self.trace.record(ProbeEvent(
+            time, "fault_injected", "<fault>", -1, 0, node, -1,
+            f"{kind}: {detail}",
+        ))

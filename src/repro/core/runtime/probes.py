@@ -12,8 +12,7 @@ declares (function enter/exit) plus message send/arrive events; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 __all__ = ["ProbeEvent", "Trace", "PROBE_KINDS"]
 
@@ -44,10 +43,7 @@ PROBE_KINDS = (
 _PROBE_KIND_SET = frozenset(PROBE_KINDS)
 
 
-@dataclass(frozen=True)
-class ProbeEvent:
-    """One instrumented occurrence on the virtual timeline."""
-
+class _ProbeFields(NamedTuple):
     time: float
     kind: str          # one of PROBE_KINDS
     function: str      # function instance path
@@ -58,9 +54,22 @@ class ProbeEvent:
     detail: str = ""   # e.g. buffer name for send/arrive
     nbytes: int = 0
 
-    def __post_init__(self):
-        if self.kind not in _PROBE_KIND_SET:
-            raise ValueError(f"unknown probe kind {self.kind!r}")
+
+class ProbeEvent(_ProbeFields):
+    """One instrumented occurrence on the virtual timeline.
+
+    Tuple-backed: a run records one per probe point, so construction cost
+    is part of every traced run's host time.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, time, kind, function, function_id, thread, processor,
+                iteration, detail="", nbytes=0):
+        if kind not in _PROBE_KIND_SET:
+            raise ValueError(f"unknown probe kind {kind!r}")
+        return tuple.__new__(cls, (time, kind, function, function_id, thread,
+                                   processor, iteration, detail, nbytes))
 
 
 class Trace:

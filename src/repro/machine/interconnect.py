@@ -155,6 +155,58 @@ class Fabric:
             resource.cancel(req)
             raise
 
+    def route(self, src: int, dst: int, nbytes: float):
+        """Admit one crossing: ``(duration, inject, shared, eject)``.
+
+        Consults the fault layer (both endpoints alive, link up — raising
+        :class:`~repro.machine.faults.NodeFailure` /
+        :class:`~repro.machine.faults.LinkFailure` otherwise), then prices
+        the wire time over the possibly degraded, possibly jittery link.
+        The three resources are to be acquired in the order returned and
+        held for ``duration``; ``shared`` is None unless the hop crosses a
+        shared medium.  Loopback (``src == dst``) returns None: the caller
+        charges it as a memory copy.
+        """
+        faults = self.faults
+        if faults is not None:
+            faults.check_node(src)
+            faults.check_node(dst)
+            faults.check_link(src, dst)
+        if src == dst:
+            return None
+        boards = self.boards  # same_board(), inlined: once per message
+        same_board = boards.get(src) == boards.get(dst)
+        link = self.spec.link_for(same_board)
+        factor = faults.link_factor(src, dst) if faults is not None else 1.0
+        duration = link.sw_overhead + link.latency + nbytes / (link.bandwidth * factor)
+        if faults is not None:
+            # Gray-failure jitter: seeded extra wire latency on noisy links.
+            duration += faults.sample_jitter(src, dst)
+        inject = self._port(self._inject, src)
+        eject = self._port(self._eject, dst)
+        shared = None if self.spec.crossbar or same_board else self._shared
+        return duration, inject, shared, eject
+
+    def verdict(self, src: int, dst: int, nbytes: float) -> TransferOutcome:
+        """The fault layer's ruling on a crossing whose wire time has just
+        elapsed (destination still alive, link still up, seeded loss and
+        corruption draws)."""
+        faults = self.faults
+        if faults is None:
+            return _CLEAN
+        if not faults.alive(dst):
+            return TransferOutcome(delivered=False, reason=f"node {dst} died in flight")
+        if not faults.link_up(src, dst):
+            return TransferOutcome(
+                delivered=False, reason=f"link {src}<->{dst} dropped in flight"
+            )
+        outcome = faults.sample_delivery(src, dst, nbytes)
+        if outcome == "lost":
+            return TransferOutcome(delivered=False, reason="message lost")
+        if outcome == "corrupted":
+            return TransferOutcome(corrupted=True, reason="message corrupted")
+        return _CLEAN
+
     def transfer(self, src: int, dst: int, nbytes: float):
         """Generator: move ``nbytes`` from ``src`` to ``dst``, with contention.
 
@@ -168,27 +220,10 @@ class Fabric:
         :class:`~repro.machine.faults.LinkFailure` at injection time, run
         slower over a degraded link, or come back undelivered/corrupted.
         """
-        faults = self.faults
-        if faults is not None:
-            faults.check_node(src)
-            faults.check_node(dst)
-            faults.check_link(src, dst)
-        if src == dst:
-            # Loopback: charged by the caller as a memory copy, not here.
+        route = self.route(src, dst, nbytes)
+        if route is None:
             return _CLEAN
-        link = self.spec.link_for(self.same_board(src, dst))
-        factor = faults.link_factor(src, dst) if faults is not None else 1.0
-        duration = link.sw_overhead + link.latency + nbytes / (link.bandwidth * factor)
-        if faults is not None:
-            # Gray-failure jitter: seeded extra wire latency on noisy links.
-            duration += faults.sample_jitter(src, dst)
-        inject = self._port(self._inject, src)
-        eject = self._port(self._eject, dst)
-        shared = (
-            self._shared
-            if (not self.spec.crossbar and not self.same_board(src, dst))
-            else None
-        )
+        duration, inject, shared, eject = route
         yield from self._acquire(inject)
         try:
             if shared is not None:
@@ -204,17 +239,5 @@ class Fabric:
                     shared.release()
         finally:
             inject.release()
-        if faults is None:
-            return _CLEAN
-        if not faults.alive(dst):
-            return TransferOutcome(delivered=False, reason=f"node {dst} died in flight")
-        if not faults.link_up(src, dst):
-            return TransferOutcome(
-                delivered=False, reason=f"link {src}<->{dst} dropped in flight"
-            )
-        verdict = faults.sample_delivery(src, dst, nbytes)
-        if verdict == "lost":
-            return TransferOutcome(delivered=False, reason="message lost")
-        if verdict == "corrupted":
-            return TransferOutcome(corrupted=True, reason="message corrupted")
-        return _CLEAN
+        # (the None test only spares clean fabrics the call: repro.mpi's path)
+        return _CLEAN if self.faults is None else self.verdict(src, dst, nbytes)

@@ -90,7 +90,10 @@ class SimNode:
         #: Optional FaultInjector consulted before/after every operation.
         self.faults = None
 
-    def _check_alive(self) -> None:
+    def check_alive(self) -> None:
+        """Raise :class:`~repro.machine.faults.NodeFailure` if this node has
+        crashed.  A crash that lands mid-operation surfaces when the work
+        "completes", so operations check before and after."""
         if self.faults is not None:
             self.faults.check_node(self.index)
 
@@ -156,23 +159,29 @@ class SimNode:
 
     def compute(self, flops: float, label: Optional[str] = None):
         """Generator: occupy the CPU for the modeled duration of ``flops``."""
-        self._check_alive()
+        self.check_alive()
         duration = self._rate_scaled(self.spec.compute_time(flops))
         yield from self.cpu.use(duration)
         # A crash that lands mid-operation surfaces when the work "completes".
-        self._check_alive()
+        self.check_alive()
 
     def copy(self, nbytes: float, label: Optional[str] = None):
         """Generator: occupy the CPU for a memory copy of ``nbytes``."""
-        self._check_alive()
+        self.check_alive()
         duration = self._rate_scaled(self.spec.copy_time(nbytes))
         yield from self.cpu.use(duration)
-        self._check_alive()
+        self.check_alive()
+
+    def busy_time(self, seconds: float) -> float:
+        """How long the CPU must be held for an explicit ``seconds`` of work
+        dispatched now (raises if the node is dead).  The holder calls
+        :meth:`check_alive` once the time has elapsed."""
+        if seconds < 0:
+            raise ValueError("seconds must be non-negative")
+        self.check_alive()
+        return self._rate_scaled(seconds)
 
     def busy(self, seconds: float):
         """Generator: occupy the CPU for an explicit duration."""
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        self._check_alive()
-        yield from self.cpu.use(self._rate_scaled(seconds))
-        self._check_alive()
+        yield from self.cpu.use(self.busy_time(seconds))
+        self.check_alive()

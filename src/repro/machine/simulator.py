@@ -464,9 +464,9 @@ class Store:
             raise SimulationError("capacity must be positive or None")
         self.env = env
         self.capacity = capacity
-        self.items: List[Any] = []
-        self._getters: List[Event] = []
-        self._putters: List[tuple] = []  # (event, item)
+        self.items: deque = deque()
+        self._getters: deque = deque()
+        self._putters: deque = deque()  # (event, item)
 
     def put(self, item: Any) -> Event:
         """Return an event that fires once the item is accepted."""
@@ -482,7 +482,7 @@ class Store:
         """Return an event carrying the next item once one is available."""
         ev = Event(self.env)
         if self.items:
-            ev.succeed(self.items.pop(0))
+            ev.succeed(self.items.popleft())
             self._drain_putters()
         else:
             self._getters.append(ev)
@@ -491,7 +491,7 @@ class Store:
     # -- internals --------------------------------------------------------
     def _accept(self, item: Any) -> None:
         if self._getters:
-            self._getters.pop(0).succeed(item)
+            self._getters.popleft().succeed(item)
         else:
             self.items.append(item)
 
@@ -499,7 +499,7 @@ class Store:
         while self._putters and (
             self.capacity is None or len(self.items) < self.capacity
         ):
-            ev, item = self._putters.pop(0)
+            ev, item = self._putters.popleft()
             self._accept(item)
             ev.succeed()
 
@@ -516,7 +516,7 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: List[Event] = []
+        self._waiters: deque = deque()
 
     @property
     def count(self) -> int:
@@ -542,7 +542,7 @@ class Resource:
             raise SimulationError("release() without a matching request()")
         if self._waiters:
             # Hand the slot straight to the next waiter.
-            self._waiters.pop(0).succeed()
+            self._waiters.popleft().succeed()
         else:
             self._in_use -= 1
 
@@ -575,7 +575,7 @@ class Resource:
         """
         dropped = self._in_use + len(self._waiters)
         self._in_use = 0
-        waiters, self._waiters = self._waiters, []
+        waiters, self._waiters = self._waiters, deque()
         for ev in waiters:
             if not ev.triggered:
                 ev.fail(SimulationError("resource reset: node removed"))

@@ -112,6 +112,12 @@ SCENARIOS: Dict[str, tuple] = {
 
 def run_scenario(name: str):
     """Execute one scenario from scratch; returns its RunResult."""
+    return run_scenario_in_env(name)[0]
+
+
+def run_scenario_in_env(name: str):
+    """Execute one scenario from scratch; returns ``(RunResult, Environment)``
+    (the environment carries the engine's event count)."""
     app_name, n, nodes, iterations, plan_fn, policy_fn = SCENARIOS[name]
     model = _BUILDERS[app_name](n, nodes)
     mapping = benchmark_mapping(model, nodes)
@@ -124,7 +130,7 @@ def run_scenario(name: str):
         glue, cluster, config=DEFAULT_CONFIG.timing_only(),
         fault_policy=policy_fn(),
     )
-    return runtime.run(iterations=iterations)
+    return runtime.run(iterations=iterations), env
 
 
 def canonical_trace(result) -> str:

@@ -94,17 +94,15 @@ class TestGlueTampering:
 
 
 class TestDeadlockDetection:
-    def test_missing_message_reports_deadlock(self):
+    def test_missing_message_reports_deadlock(self, monkeypatch):
         """If an arrival event is never triggered, the simulator names the
         problem instead of hanging forever."""
         runtime, _ = make_runtime(config=DEFAULT_CONFIG.timing_only())
 
-        # Sabotage: the transport "loses" every message (the generator ends
-        # without firing the arrival event), so receivers wait forever.
-        def lossy_transfer(buf, msg, iteration, entry):
-            if False:
-                yield None
-
-        runtime._transfer_proc = lossy_transfer
+        # Sabotage: the transport "loses" every message (no transfer is
+        # started, so no arrival event fires) and receivers wait forever.
+        monkeypatch.setattr(
+            "repro.core.runtime.kernel.Transfer", lambda *args: None
+        )
         with pytest.raises(SimulationError, match="deadlock"):
             runtime.run(iterations=1)
