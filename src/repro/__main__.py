@@ -8,7 +8,6 @@ kernels      the software-shelf contents (ISSPL + structural + radar)
 generate     load a design document, run the Alter glue generator, save glue
 analyze      run the SAGE Verifier (lint + schedules + buffers), no execution
 run          load a design document and execute it on a simulated platform
-bench        wall-clock benchmark of the pipeline, writes BENCH_simcore.json
 chaos        randomized chaos soak: seeded fault schedules x fault policies
 serve        multi-job service over a shared cluster; --soak runs the harness
 submit       append one job spec to a batch file for `serve --batch`
@@ -302,10 +301,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         module = importlib.import_module(f"repro.experiments.{_EXPERIMENTS[argv[0]]}")
         return module.main(argv[1:])
-    if argv and argv[0] == "bench":
-        from .perf import bench
-
-        return bench.main(argv[1:])
     if argv and argv[0] == "chaos":
         from .chaos.soak import main as chaos_main
 
@@ -383,7 +378,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument("--optimized", action="store_true")
     run.set_defaults(fn=cmd_run)
 
-    sub.add_parser("bench", help="wall-clock pipeline benchmark (repro.perf.bench)")
     sub.add_parser("chaos", help="randomized chaos soak (repro.chaos.soak)")
     sub.add_parser("serve", help="multi-job service / soak harness (repro.service)")
     sub.add_parser("submit", help="append a job spec to a service batch file")

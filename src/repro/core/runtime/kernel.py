@@ -22,7 +22,7 @@ from ...machine.cluster import SimCluster
 from ...machine.faults import FaultError, LinkFailure, NodeFailure, TransientError
 from ...machine.simulator import Environment, Event, Interrupt, Process
 from ...mpi.detector import FailureDetector, HeartbeatConfig
-from ...perf.cache import cache_scope, invalidate_mapping_caches
+from ...perf.cache import cache_scope
 from ...perf.registry import REGISTRY
 from ..codegen.generator import GlueModule
 from ..model.mapping import Mapping, grow_mapping, shrink_mapping
@@ -562,7 +562,7 @@ class SageRuntime:
         """Drop permanently lost nodes and re-stripe onto the survivors.
 
         Waits for the failure detector to actually *declare* each lost node
-        (recovery reacts to detection, never to the injector's ground truth,
+        (recovery reacts to detection, not to the injector's ground truth,
         so detection latency lands on the timeline), remaps the dead nodes'
         threads via :func:`~repro.core.model.mapping.shrink_mapping`,
         recomputes the staging-traffic tables for the new placement, and
@@ -574,8 +574,15 @@ class SageRuntime:
                 f"cannot shrink for iteration {k}: node(s) {sorted(dead)} "
                 f"failed permanently but no failure detector is running"
             ) from exc
+        injector = self.cluster.faults
         for node in sorted(dead):
-            self.env.run(until=self.detector.death_event(node))
+            # A replacement that powers on inside the detection window keeps
+            # the slot heartbeating, so no declaration ever comes: the join
+            # itself then ends the wait (the slot is re-absorbed through
+            # _maybe_grow like any other joiner).
+            declared = self.detector.death_event(node)
+            while not declared.processed and not injector.alive(node):
+                self.env.step()
         survivors = sorted(self._active_processors - set(dead))
         if not survivors:
             raise RuntimeError_(
@@ -608,7 +615,6 @@ class SageRuntime:
             iteration=k,
         )
         self._update_remote_tables(old_proc, new_map, moved_keys)
-        invalidate_mapping_caches(scope=self.job_scope)
         if self.config.enforce_memory:
             self._check_memory_footprint()
 
@@ -829,7 +835,6 @@ class SageRuntime:
             iteration=k,
         )
         self._update_remote_tables(old_proc, new_map, moved_keys)
-        invalidate_mapping_caches(scope=self.job_scope)
         if self.config.enforce_memory:
             self._check_memory_footprint()
 
@@ -972,7 +977,6 @@ class SageRuntime:
             self._drain_relapse[p] = self._drain_relapse.get(p, -1) + 1
             self._straggler_strikes.pop(p, None)
         self._update_remote_tables(old_proc, new_map, moved_keys)
-        invalidate_mapping_caches(scope=self.job_scope)
         if self.config.enforce_memory:
             self._check_memory_footprint()
 
@@ -1036,7 +1040,6 @@ class SageRuntime:
             self._drained.discard(p)
             self._drain_probation.pop(p, None)
         self._update_remote_tables(old_proc, new_map, moved_keys)
-        invalidate_mapping_caches(scope=self.job_scope)
         if self.config.enforce_memory:
             self._check_memory_footprint()
 

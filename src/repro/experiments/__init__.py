@@ -2,7 +2,6 @@
 
 from .runner import (
     APP_BUILDERS,
-    BENCH_PROTOCOL,
     FULL_PROTOCOL,
     Measurement,
     Protocol,
@@ -33,7 +32,6 @@ from .reconfiguration import (
 
 __all__ = [
     "APP_BUILDERS",
-    "BENCH_PROTOCOL",
     "FULL_PROTOCOL",
     "QUICK_PROTOCOL",
     "Measurement",

@@ -37,7 +37,7 @@ from ..mpi import MpiWorld
 
 __all__ = [
     "Protocol", "Measurement", "measure_sage", "measure_hand", "APP_BUILDERS",
-    "FULL_PROTOCOL", "QUICK_PROTOCOL", "BENCH_PROTOCOL",
+    "FULL_PROTOCOL", "QUICK_PROTOCOL",
 ]
 
 #: benchmark name -> (model builder, hand-coded rank program)
@@ -63,15 +63,9 @@ class Protocol:
             raise ValueError("jitter_sigma must be non-negative")
 
 
-#: The paper's full protocol and a fast variant for CI/benchmarks.
+#: The paper's full protocol and a fast variant for CI.
 FULL_PROTOCOL = Protocol()
 QUICK_PROTOCOL = Protocol(runs=3, iterations=10)
-#: The reduced protocol shared by ``benchmarks/`` (pytest-benchmark) and
-#: ``python -m repro bench`` — one source of truth, so wall-clock numbers
-#: from both harnesses describe the same workload.  Virtual results are
-#: identical to the full 10x100 protocol modulo the seeded jitter term,
-#: which is disabled here.
-BENCH_PROTOCOL = Protocol(runs=1, iterations=5, jitter_sigma=0.0)
 
 
 @dataclass

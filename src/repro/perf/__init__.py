@@ -1,24 +1,21 @@
-"""Performance micro-layer: caches, timers/counters, and the bench harness.
+"""Performance micro-layer: caches and timers/counters.
 
-Three small pieces keep the simulation hot path fast and honest:
+Two small pieces keep the simulation hot path fast and honest:
 
 ``repro.perf.cache``
     Named, content-keyed caches for derived artifacts that used to be
     recomputed on every run (striping message plans, parsed Alter ASTs,
     generated glue + analysis verdicts, collective partner schedules).
     Every cache is registered centrally so ``clear_all_caches()`` is the
-    one-line invalidation hammer and ``cache_stats()`` shows hit rates.
+    one-line cold-path switch and ``cache_stats()`` shows hit rates.
 
 ``repro.perf.registry``
     A process-wide timer/counter registry (wall-clock, ``time.perf_counter``)
-    used by the bench harness for per-stage breakdowns.
+    that the run-time kernel records recovery pauses and re-plan counts
+    into; ``bench/run.py`` reads it for per-layer attribution.
 
-``repro.perf.bench``
-    ``python -m repro bench``: runs the Table 1.0 workloads at 1/2/4/8 nodes
-    under the shared reduced protocol and writes ``BENCH_simcore.json`` with
-    events/sec against the recorded pre-fast-path baseline.
-
-See ``docs/PERFORMANCE.md`` for the full story.
+The benchmark itself lives outside the package, in ``bench/`` (see
+``bench/README.md`` and ``docs/PERFORMANCE.md``).
 """
 
 from .cache import (

@@ -24,22 +24,20 @@ memory without limit.
 Job scoping
 -----------
 The registry is process-wide, which is exactly right for throughput — two
-jobs submitting the same design share one generated glue — but wrong for
-*invalidation* in a multi-tenant service: one job clearing "its" caches must
-not evict artifacts other live jobs are using.  Entries therefore carry an
-**owner set**: while a :func:`cache_scope` is active (the service enters one
-per job, keyed by job id), every entry the job touches is tagged with that
-scope.  A scoped clear (``clear_all_caches(scope=...)``,
-``invalidate_mapping_caches(scope=...)``) evicts only entries owned *solely*
-by that scope and merely detaches the scope from shared entries; an unscoped
-clear keeps its historical drop-everything behaviour.  ``cache_stats(scope)``
-reports the per-scope hit/miss split the service bills to each job.
+jobs submitting the same design share one generated glue.  Because keys are
+content fingerprints, no job ever needs to evict anything on its own
+behalf (the run-time kernel re-stripes through shrink, grow and migration
+without touching a cache; ``tests/test_perf_properties.py`` checks that
+pre-warmed and cold runs are identical), so entries have no owner.  A
+:func:`cache_scope` (the service enters one per job, keyed by job id) only
+*bills* traffic: ``cache_stats(scope)`` reports the per-scope hit/miss
+split the service records on each job.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
 __all__ = [
     "KeyedCache",
@@ -49,26 +47,7 @@ __all__ = [
     "cache_scope",
     "current_scope",
     "forget_scope",
-    "MAPPING_SCOPED_CACHES",
-    "invalidate_mapping_caches",
 ]
-
-#: Caches whose values embed a thread->processor placement or are derived
-#: from one (striping plans feed placement-dependent remote-traffic tables;
-#: glue source/code bake the mapping in).  Keys are content fingerprints, so
-#: stale *hits* are impossible even without invalidation — but a membership
-#: change (shrink or grow) retires the old placement for good, so the
-#: runtime drops these eagerly: entries keyed by the dead mapping would
-#: otherwise pin memory for the rest of the process, and a regression in the
-#: fingerprinting of any one layer would silently resurrect a stale-mapping
-#: artifact.  The elasticity tests assert these are empty after every
-#: membership change.
-MAPPING_SCOPED_CACHES = (
-    "striping.thread_region",
-    "striping.message_plan",
-    "codegen.glue_source",
-    "codegen.glue_code",
-)
 
 #: Active scope stack (innermost last).  Plain module state, not a
 #: contextvar: the simulator is single-threaded by design and the service
@@ -83,7 +62,7 @@ def current_scope() -> Optional[str]:
 
 @contextmanager
 def cache_scope(name: Optional[str]):
-    """Tag every cache access inside the block as owned by ``name``.
+    """Bill every cache access inside the block to ``name``.
 
     ``None`` is a pass-through (standalone runs stay unscoped), so call
     sites can thread an optional job id without branching.
@@ -101,8 +80,7 @@ def cache_scope(name: Optional[str]):
 class KeyedCache:
     """A small keyed memo table with hit/miss stats and FIFO eviction."""
 
-    __slots__ = ("name", "maxsize", "hits", "misses", "_data", "_owners",
-                 "_scope_stats")
+    __slots__ = ("name", "maxsize", "hits", "misses", "_data", "_scope_stats")
 
     def __init__(self, name: str, maxsize: int = 1024):
         self.name = name
@@ -110,129 +88,56 @@ class KeyedCache:
         self.hits = 0
         self.misses = 0
         self._data: Dict[Hashable, Any] = {}
-        # key -> scopes that have touched it; keys touched only by
-        # unscoped callers carry no entry (they are global property).
-        self._owners: Dict[Hashable, Set[str]] = {}
         # scope -> [hits, misses] while that scope was active.
         self._scope_stats: Dict[str, List[int]] = {}
 
-    # -- scope bookkeeping ----------------------------------------------
-    def _tag(self, key: Hashable, hit: bool) -> None:
-        scope = current_scope()
-        if scope is None:
+    def _count(self, hit: bool) -> None:
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
+        if not _SCOPE_STACK:
             return
-        stats = self._scope_stats.get(scope)
-        if stats is None:
-            stats = self._scope_stats[scope] = [0, 0]
+        stats = self._scope_stats.setdefault(_SCOPE_STACK[-1], [0, 0])
         stats[0 if hit else 1] += 1
-        owners = self._owners.get(key)
-        if owners is None:
-            if hit:
-                # The entry pre-exists with no owner: it is global property
-                # (inserted unscoped, or its inserters all finished).  A
-                # scoped hit must not re-privatise it — ownership comes
-                # from insertion, never from use.
-                return
-            owners = self._owners[key] = set()
-        owners.add(scope)
-
-    def _count_miss(self) -> None:
-        # A miss with no insertion (lookup default) still bills the scope.
-        scope = current_scope()
-        if scope is None:
-            return
-        stats = self._scope_stats.get(scope)
-        if stats is None:
-            stats = self._scope_stats[scope] = [0, 0]
-        stats[1] += 1
-
-    def _evict_oldest(self) -> None:
-        key = next(iter(self._data))
-        del self._data[key]
-        self._owners.pop(key, None)
 
     # -- access ----------------------------------------------------------
     def get(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, computing and storing on miss."""
         data = self._data
         if key in data:
-            self.hits += 1
-            self._tag(key, hit=True)
+            self._count(hit=True)
             return data[key]
-        self.misses += 1
+        self._count(hit=False)
         value = compute()
-        if len(data) >= self.maxsize:
-            self._evict_oldest()
-        data[key] = value
-        self._tag(key, hit=False)
+        self.put(key, value)
         return value
 
     def lookup(self, key: Hashable, default: Any = None) -> Any:
         """Plain probe (counts as hit/miss) for call sites where the compute
         step doesn't fit in a closure."""
         if key in self._data:
-            self.hits += 1
-            self._tag(key, hit=True)
+            self._count(hit=True)
             return self._data[key]
-        self.misses += 1
-        self._count_miss()
+        self._count(hit=False)
         return default
 
     def put(self, key: Hashable, value: Any) -> None:
         """Store a value computed outside :meth:`get`."""
         data = self._data
         if key not in data and len(data) >= self.maxsize:
-            self._evict_oldest()
-        existed = key in data
+            del data[next(iter(data))]
         data[key] = value
-        scope = current_scope()
-        if scope is not None:
-            owners = self._owners.get(key)
-            if owners is None:
-                if existed:
-                    return  # overwrote a global entry: stays global
-                owners = self._owners[key] = set()
-            owners.add(scope)
 
-    def clear(self, scope: Optional[str] = None) -> int:
-        """Drop entries; returns the number evicted.
-
-        Unscoped (``scope=None``): everything goes — the historical
-        process-global hammer.  Scoped: only entries owned *solely* by
-        ``scope`` are evicted; entries shared with other scopes (or global,
-        unscoped entries) survive and merely lose the ``scope`` tag, so one
-        tenant's clear can never evict another tenant's glue.
-        """
-        if scope is None:
-            evicted = len(self._data)
-            self._data.clear()
-            self._owners.clear()
-            return evicted
-        evicted = 0
-        for key in list(self._data):
-            owners = self._owners.get(key)
-            if owners is None or scope not in owners:
-                continue
-            owners.discard(scope)
-            if not owners:
-                del self._data[key]
-                del self._owners[key]
-                evicted += 1
+    def clear(self) -> int:
+        """Drop every entry; returns the number evicted."""
+        evicted = len(self._data)
+        self._data.clear()
         return evicted
 
     def forget_scope(self, scope: str) -> None:
-        """Detach ``scope`` from all bookkeeping without evicting anything.
-
-        Called when a job completes: its artifacts become shared property
-        (later jobs may still hit them) and the per-scope stats row is
-        dropped, so a long-running service's owner sets stay bounded by the
-        number of *live* jobs, not of all jobs ever run.
-        """
-        for key in list(self._owners):
-            owners = self._owners[key]
-            owners.discard(scope)
-            if not owners:
-                del self._owners[key]
+        """Drop a finished job's stats row (nothing is evicted), so a
+        long-running service's bookkeeping stays bounded by *live* jobs."""
         self._scope_stats.pop(scope, None)
 
     def __len__(self) -> int:
@@ -246,8 +151,7 @@ class KeyedCache:
             return {"hits": self.hits, "misses": self.misses,
                     "size": len(self._data)}
         row = self._scope_stats.get(scope, (0, 0))
-        owned = sum(1 for owners in self._owners.values() if scope in owners)
-        return {"hits": row[0], "misses": row[1], "size": owned}
+        return {"hits": row[0], "misses": row[1]}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -267,37 +171,13 @@ def named_cache(name: str, maxsize: int = 1024) -> KeyedCache:
     return cache
 
 
-def clear_all_caches(scope: Optional[str] = None) -> int:
-    """Drop every registered cache; returns the number of entries evicted.
-
-    With ``scope`` given, only that scope's *exclusively owned* entries are
-    evicted (see :meth:`KeyedCache.clear`) — the multi-tenant-safe form.
-    """
-    evicted = 0
-    for cache in _REGISTRY.values():
-        evicted += cache.clear(scope)
-    return evicted
-
-
-def invalidate_mapping_caches(scope: Optional[str] = None) -> int:
-    """Drop every mapping-scoped cache (see :data:`MAPPING_SCOPED_CACHES`).
-
-    Called by the run-time kernel whenever cluster membership changes —
-    after a shrink re-stripes onto survivors and after a grow migrates back
-    onto replacements.  Returns the number of entries evicted.  A runtime
-    executing under a service job scope passes that scope so its membership
-    change cannot evict placements other tenants' jobs still share.
-    """
-    evicted = 0
-    for name in MAPPING_SCOPED_CACHES:
-        cache = _REGISTRY.get(name)
-        if cache is not None:
-            evicted += cache.clear(scope)
-    return evicted
+def clear_all_caches() -> int:
+    """Drop every registered cache; returns the number of entries evicted."""
+    return sum(cache.clear() for cache in _REGISTRY.values())
 
 
 def forget_scope(scope: str) -> None:
-    """Detach a finished job's scope from every cache (no eviction)."""
+    """Drop a finished job's stats row from every cache (no eviction)."""
     for cache in _REGISTRY.values():
         cache.forget_scope(scope)
 
@@ -305,7 +185,7 @@ def forget_scope(scope: str) -> None:
 def cache_stats(scope: Optional[str] = None) -> Dict[str, Dict[str, int]]:
     """Per-cache ``{hits, misses, size}``, keyed by cache name.
 
-    With ``scope`` given, the figures are that scope's own traffic and the
-    number of entries it (co-)owns — the per-job view the service reports.
+    With ``scope`` given, the figures are that scope's own ``{hits,
+    misses}`` — the per-job view the service reports.
     """
     return {name: cache.stats(scope) for name, cache in sorted(_REGISTRY.items())}

@@ -1,13 +1,13 @@
-"""Wall-clock timer/counter registry used by the bench harness.
+"""Wall-clock timer/counter registry.
 
 All times are host wall-clock (``time.perf_counter``), never simulated virtual
 time — this layer measures how fast the simulator itself runs, not what it
-simulates.  One deliberate exception: ``runtime.migration_pause_s`` records
-the *simulated* stall of a live migration (see docs/ELASTICITY.md); it rides
-in the same registry so ``python -m repro bench`` can report it alongside the
-host figures as a tracked stat.  A single process-wide :data:`REGISTRY` backs
-``python -m repro bench``; tests construct private :class:`PerfRegistry`
-instances.
+simulates.  One deliberate exception: ``runtime.migration_pause_s`` and
+``runtime.straggler_pause_s`` record the *simulated* stall of a live
+migration / straggler drain (see docs/ELASTICITY.md); they ride in the same
+registry so ``bench/run.py`` and the tests can read them as deltas.  A
+single process-wide :data:`REGISTRY` collects what the run-time kernel
+records; tests construct private :class:`PerfRegistry` instances.
 """
 
 from __future__ import annotations
@@ -108,5 +108,5 @@ class PerfRegistry:
         self.counters.clear()
 
 
-#: Process-wide registry used by ``python -m repro bench``.
+#: Process-wide registry the run-time kernel and striping layer record into.
 REGISTRY = PerfRegistry()

@@ -4,10 +4,9 @@
 appends it to a batch file (creating it on first use).  ``serve --batch``
 then stands up a :class:`SageService`, plays the whole batch through the
 scheduler, and prints per-job outcomes.  ``serve --soak`` runs the
-soak-test harness instead (see :mod:`repro.service.soak`) and merges its
-report — headline stat: jobs/sec against the embedded baseline — into
-``BENCH_simcore.json``; its exit code is the CI gate (non-zero on any
-invariant violation).
+soak-test harness instead (see :mod:`repro.service.soak`) and writes its
+report as JSON; its exit code is the CI gate (non-zero on any invariant
+violation).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import List, Optional
 
 from .errors import ServiceError
 from .jobs import JobSpec
-from .soak import SERVICE_BASELINE, run_soak
+from .soak import run_soak
 
 __all__ = ["serve_main", "submit_main"]
 
@@ -32,27 +31,6 @@ def _load_batch(path: str) -> List[dict]:
     if not isinstance(jobs, list):
         raise ValueError(f"{path}: expected a list of job specs")
     return jobs
-
-
-def _merge_bench_report(path: str, section: dict) -> None:
-    """Install the soak report as the ``service`` section of the bench
-    document, preserving everything the bench harness wrote there."""
-    doc: dict = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            doc = {}
-    if not isinstance(doc, dict):
-        doc = {}
-    doc["service"] = section
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 def _run_batch(args) -> int:
@@ -97,13 +75,14 @@ def _run_soak(args) -> int:
         isolation=not args.no_isolation,
         progress=lambda line: print(line, file=sys.stderr),
     )
-    section = report.to_dict()
-    base = SERVICE_BASELINE["jobs_per_sec"]
-    if base:
-        section["jobs_per_sec_vs_baseline"] = report.jobs_per_sec / base
-    _merge_bench_report(args.output, section)
-    print(f"wrote service section to {args.output}", file=sys.stderr)
-    print(json.dumps(section, indent=1))
+    text = json.dumps(report.to_dict(), indent=1)
+    parent = os.path.dirname(args.output)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(args.output, "w") as fh:
+        fh.write(text + "\n")
+    print(f"wrote soak report to {args.output}", file=sys.stderr)
+    print(text)
     if not report.ok:
         for line in report.violations[:20]:
             print(f"VIOLATION: {line}", file=sys.stderr)
@@ -131,8 +110,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                         help="soak: skip the determinism replay invariant")
     parser.add_argument("--no-isolation", action="store_true",
                         help="soak: skip the standalone-isolation invariant")
-    parser.add_argument("-o", "--output", default="BENCH_simcore.json",
-                        help="bench document to merge the soak report into")
+    parser.add_argument("-o", "--output", default="reports/service_soak.json",
+                        help="soak: report path "
+                             "(default reports/service_soak.json)")
     args = parser.parse_args(argv)
     if args.soak:
         return _run_soak(args)

@@ -346,7 +346,7 @@ class SageService:
         return t_end
 
     def _drop_scope(self, job: Job) -> None:
-        """Finished jobs stop owning cache entries (artifacts stay shared)."""
+        """Finished jobs drop their cache-traffic row (artifacts stay shared)."""
         forget_scope(job.id)
 
     def _release(self, job: Job) -> None:

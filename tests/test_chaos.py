@@ -6,7 +6,7 @@ with results bitwise identical to the fault-free run.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import (
@@ -188,6 +188,9 @@ def _baseline():
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
+# A crash whose replacement joins 44 us later, inside the detection window:
+# nobody ever declares the node dead, and recovery used to wait forever.
+@example(seed=1429)
 def test_migrate_stragglers_survives_any_schedule_bitwise(seed):
     """migrate_stragglers claims every capability, so expected_outcome is
     IDENTICAL for *every* generated schedule: the run must complete and its

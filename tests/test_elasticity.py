@@ -2,8 +2,8 @@
 
 Covers the whole stack: simulator/cluster slot hygiene on remove/re-add,
 the detector's join/admission handshake, ULFM-dual ``Communicator.grow``,
-``grow_mapping`` / incremental re-striping, mapping-scoped cache
-invalidation, and the run-time's ``grow_restripe`` policy end to end.
+``grow_mapping`` / incremental re-striping, and the run-time's
+``grow_restripe`` policy end to end.
 """
 
 import numpy as np
@@ -28,11 +28,6 @@ from repro.machine import Environment, SimCluster, cspi
 from repro.machine.simulator import SimulationError
 from repro.mpi import MpiWorld
 from repro.mpi.detector import FailureDetector, HeartbeatConfig
-from repro.perf.cache import (
-    MAPPING_SCOPED_CACHES,
-    invalidate_mapping_caches,
-    named_cache,
-)
 from repro.perf.registry import REGISTRY
 
 N = 32
@@ -349,44 +344,6 @@ class TestRemoteTrafficDelta:
                    - before)
         touching = sum(1 for m in plan if m.src_thread == 3)
         assert visited == touching < len(plan)
-
-
-# -- cache invalidation (satellite) ------------------------------------------
-
-class TestMappingCacheInvalidation:
-    def test_invalidate_clears_exactly_the_mapping_scoped_caches(self):
-        for name in MAPPING_SCOPED_CACHES:
-            named_cache(name).put(("sentinel", name), object())
-        other = named_cache("alter.ast")
-        other.put(("sentinel",), object())
-        evicted = invalidate_mapping_caches()
-        assert evicted >= len(MAPPING_SCOPED_CACHES)
-        for name in MAPPING_SCOPED_CACHES:
-            assert ("sentinel", name) not in named_cache(name)
-        assert ("sentinel",) in other
-        other.clear()
-
-    @pytest.mark.parametrize("event", ["shrink", "grow"])
-    def test_no_stale_mapping_artifact_survives_membership_change(
-            self, baselines, event):
-        """Regression: every mapping-scoped cache is dropped when the
-        membership changes.  Sentinels planted before the run must be gone
-        afterwards — post-change repopulation cannot resurrect them."""
-        base = baselines["clean"]["fft2d"]
-        plan = FaultPlan(seed=5).crash_node(
-            NODES - 1, at=base.makespan * 0.3, permanent=True)
-        if event == "grow":
-            plan.join_node(NODES - 1, at=base.makespan * 0.6)
-            policy = FaultPolicy.grow_restripe()
-        else:
-            policy = FaultPolicy.shrink_restripe()
-        runtime = make_runtime(fft2d_model, plan=plan, policy=policy)
-        for name in MAPPING_SCOPED_CACHES:
-            named_cache(name).put(("stale-mapping-sentinel",), object())
-        result = run(runtime)
-        assert result.trace.by_kind(event)
-        for name in MAPPING_SCOPED_CACHES:
-            assert ("stale-mapping-sentinel",) not in named_cache(name), name
 
 
 # -- run-time end to end -----------------------------------------------------

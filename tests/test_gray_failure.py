@@ -12,6 +12,7 @@ from repro.faults import FaultPlan, FaultPolicy
 from repro.machine import Environment, SimCluster, get_platform
 from repro.mpi.adaptive import RttEstimator
 from repro.mpi.detector import FailureDetector, HeartbeatConfig
+from repro.perf.registry import REGISTRY
 
 PERIOD = 1e-4
 
@@ -125,25 +126,27 @@ def test_adaptive_still_declares_a_real_crash():
 
 # -- the runtime's drain/restore migration -----------------------------------
 
-@pytest.fixture(scope="module")
-def straggler_run():
-    nodes = 4
-    model = fft2d_slack_model(28, 14)
+def _run_limping(model, nodes, plan, policy, iterations):
     glue = generate_glue(model, benchmark_mapping(model, nodes),
                          num_processors=nodes)
+    env = Environment()
+    cluster = SimCluster.from_platform(env, get_platform("cspi"), nodes,
+                                       fault_plan=plan)
+    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only(),
+                          fault_policy=policy)
+    return runtime.run(iterations=iterations)
+
+
+@pytest.fixture(scope="module")
+def straggler_run():
     # Node 2 carries the light half of the stripe (its clean busy time is
     # ~0.6x the median), so the 4x limp must persist across two full
     # iteration boundaries before the 2x-median strike count reaches
     # straggler_patience; 9ms covers that with room to restore after.
     plan = FaultPlan(seed=9).slow_node(2, at=5e-4, factor=0.25,
                                        duration=9e-3)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, get_platform("cspi"), nodes,
-                                       fault_plan=plan)
-    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only(),
-                          fault_policy=FaultPolicy.migrate_stragglers())
-    result = runtime.run(iterations=12)
-    return result
+    return _run_limping(fft2d_slack_model(28, 14), 4, plan,
+                        FaultPolicy.migrate_stragglers(), iterations=12)
 
 
 def test_migration_drains_and_restores(straggler_run):
@@ -166,35 +169,24 @@ def test_migration_completes_all_iterations(straggler_run):
 
 
 def test_migration_beats_no_migration():
-    nodes = 4
-    model = fft2d_slack_model(28, 14)
-    glue = generate_glue(model, benchmark_mapping(model, nodes),
-                         num_processors=nodes)
+    def run(policy):
+        plan = FaultPlan(seed=9).slow_node(2, at=5e-4, factor=0.25)
+        return _run_limping(fft2d_slack_model(28, 14), 4, plan, policy,
+                            iterations=10)
 
-    def run(policy, plan):
-        env = Environment()
-        cluster = SimCluster.from_platform(env, get_platform("cspi"), nodes,
-                                           fault_plan=plan)
-        return SageRuntime(glue, cluster,
-                           config=DEFAULT_CONFIG.timing_only(),
-                           fault_policy=policy).run(iterations=10)
-
-    def limp():
-        return FaultPlan(seed=9).slow_node(2, at=5e-4, factor=0.25)
-
-    unassisted = run(FaultPolicy.checkpoint_restart(), limp())
-    migrated = run(FaultPolicy.migrate_stragglers(), limp())
+    unassisted = run(FaultPolicy.checkpoint_restart())
+    migrated = run(FaultPolicy.migrate_stragglers())
     assert migrated.makespan < unassisted.makespan
 
 
 def test_bench_straggler_pause_stat():
-    from repro.perf.bench import run_straggler_pause
-    from repro.perf.registry import PerfRegistry
-
-    registry = PerfRegistry()
-    out = run_straggler_pause(registry)
-    assert out is not None
-    assert out["drains"] >= 1
-    assert out["pause_s"] > 0
-    timers = registry.snapshot()["timers"]
-    assert "runtime.straggler_pause_s" in timers
+    """A straggler drain records its (virtual) re-striping pause into the
+    process-wide registry as ``runtime.straggler_pause_s``."""
+    before = REGISTRY.timers.get("runtime.straggler_pause_s")
+    count_before, total_before = (before.count, before.total) if before else (0, 0.0)
+    plan = FaultPlan(seed=72).slow_node(4, at=5e-4, factor=0.25)
+    _run_limping(fft2d_slack_model(), 8, plan,
+                 FaultPolicy.migrate_stragglers(), iterations=12)
+    stats = REGISTRY.timers["runtime.straggler_pause_s"]
+    assert stats.count - count_before >= 1
+    assert stats.total - total_before > 0

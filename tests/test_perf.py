@@ -1,5 +1,5 @@
-"""Unit tests for the repro.perf layer: keyed caches, the timer/counter
-registry, the bench CLI, and the baseline-regression comparator."""
+"""Unit tests for the repro.perf layer: keyed caches and the timer/counter
+registry."""
 
 import json
 
@@ -12,7 +12,6 @@ from repro.perf import (
     clear_all_caches,
     named_cache,
 )
-from repro.perf.bench import BASELINE, compare_to_baseline, compute_speedups, main
 
 
 # ---------------------------------------------------------------------------
@@ -127,104 +126,3 @@ def test_registry_counters_and_snapshot_and_reset():
     json.dumps(snap)  # snapshot must be JSON-serialisable as-is
     reg.reset()
     assert reg.snapshot() == {"timers": {}, "counters": {}}
-
-
-# ---------------------------------------------------------------------------
-# baseline comparison (pure function — no measurement in CI)
-
-
-def _figures(eps, nevents=100):
-    return {"events_per_sec_total": eps, "nevents": nevents}
-
-
-def test_compare_to_baseline_flags_large_regression():
-    baseline = {"fft2d@4": _figures(100000.0)}
-    current = {"fft2d@4": _figures(70000.0)}  # 30% down > 20% threshold
-    regressions = compare_to_baseline(current, baseline, threshold=0.2)
-    assert len(regressions) == 1
-    assert regressions[0]["config"] == "fft2d@4"
-    assert regressions[0]["kind"] == "events_per_sec_total"
-    assert regressions[0]["ratio"] == pytest.approx(0.7)
-
-
-def test_compare_to_baseline_accepts_small_wobble_and_speedups():
-    baseline = {"a@1": _figures(100000.0), "b@2": _figures(50000.0)}
-    current = {"a@1": _figures(85000.0), "b@2": _figures(200000.0)}
-    assert compare_to_baseline(current, baseline, threshold=0.2) == []
-
-
-def test_compare_to_baseline_flags_event_count_mismatch():
-    baseline = {"a@1": _figures(100000.0, nevents=1526)}
-    current = {"a@1": _figures(500000.0, nevents=900)}  # fast but wrong workload
-    regressions = compare_to_baseline(current, baseline)
-    assert regressions == [
-        {"config": "a@1", "kind": "nevents", "current": 900, "baseline": 1526}
-    ]
-
-
-def test_compare_ignores_configs_missing_from_either_side():
-    assert compare_to_baseline({"x@1": _figures(1.0)}, {"y@1": _figures(1.0)}) == []
-
-
-def test_compute_speedups():
-    baseline = {"a@1": _figures(100000.0)}
-    current = {"a@1": _figures(250000.0), "only_current@4": _figures(1.0)}
-    speedups = compute_speedups(current, baseline)
-    assert set(speedups) == {"a@1"}
-    assert speedups["a@1"]["events_per_sec_total"] == pytest.approx(2.5)
-    assert speedups["a@1"]["nevents_match"] == 1.0
-
-
-def test_embedded_baseline_shape():
-    # the embedded baseline must stay structurally valid for the comparator
-    for key, figures in BASELINE.items():
-        app, nodes = key.split("@")
-        assert app in ("fft2d", "corner_turn") and int(nodes) in (1, 2, 4, 8)
-        assert figures["events_per_sec_total"] > 0
-        assert figures["nevents"] > 0
-        assert figures["total"] >= figures["simulate"] > 0
-
-
-# ---------------------------------------------------------------------------
-# bench CLI smoke test (tiny workload, wall-clock — no thresholds asserted)
-
-
-def test_bench_cli_smoke(tmp_path):
-    out = tmp_path / "BENCH_test.json"
-    rc = main([
-        "--apps", "fft2d",
-        "--nodes", "1",
-        "--size", "32",
-        "--iterations", "2",
-        "--repeats", "1",
-        "--warmups", "0",
-        "-o", str(out),
-    ])
-    assert rc == 0
-    report = json.loads(out.read_text())
-    assert "fft2d@1" in report["results"]
-    figures = report["results"]["fft2d@1"]
-    assert figures["nevents"] > 0
-    assert figures["events_per_sec_total"] > 0
-    assert figures["total"] > 0
-    # size 32 != baseline's 256: the comparison must be declared void, not
-    # silently computed against a different workload
-    assert report["baseline_comparable"] is False
-    assert "speedup" not in report and "regressions" not in report
-    assert report["baseline"]["results"] == BASELINE
-    assert report["registry"]["counters"]["bench.passes"] == 1
-
-
-def test_bench_cli_emit_baseline(tmp_path, capsys):
-    rc = main([
-        "--apps", "corner_turn",
-        "--nodes", "1",
-        "--size", "32",
-        "--iterations", "1",
-        "--repeats", "1",
-        "--warmups", "0",
-        "--emit-baseline",
-    ])
-    assert rc == 0
-    results = json.loads(capsys.readouterr().out)
-    assert "corner_turn@1" in results

@@ -1,6 +1,6 @@
 """Property tests guarding the fast-path caches and collective schedules.
 
-Two families:
+Three families:
 
 * The four all-to-all algorithms are interchangeable: for randomized node
   counts and payload shapes every algorithm must deliver exactly the same
@@ -11,22 +11,32 @@ Two families:
   :func:`message_plan`) must be observationally identical to their uncached
   originals for arbitrary shapes, stripings, and thread counts — a stale or
   mis-keyed cache entry would show up as a divergence here.
+* Recovery never invalidates a cache, because every key is a content
+  fingerprint: an elastic run (shrink, grow, straggler drain) behaves
+  identically whether the caches are cold or full of artifacts from other
+  mappings and earlier membership changes of the same model.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import benchmark_mapping, corner_turn_model, fft2d_model
+from repro.core.codegen import generate_glue
+from repro.core.atot import random_mapping
 from repro.core.model import REPLICATED, cyclic, striped
+from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
 from repro.core.runtime.striping import (
     compute_message_plan,
     compute_thread_region,
     message_plan,
     thread_region,
 )
+from repro.faults import FaultError, FaultPlan, FaultPolicy
 from repro.machine import Environment, SimCluster, cspi
 from repro.mpi import MpiWorld
 from repro.mpi.vendor import ALGORITHMS, partner_schedule
+from repro.perf import clear_all_caches, named_cache
 
 # ---------------------------------------------------------------------------
 # all-to-all payload equivalence
@@ -153,3 +163,85 @@ def test_message_plan_cache_matches_fresh_compute(
     )
     assert second is not cached
     assert second == cached
+
+
+# ---------------------------------------------------------------------------
+# recovery needs no cache invalidation
+
+_ELASTIC_APPS = {"fft2d": fft2d_model, "corner_turn": corner_turn_model}
+_ELASTIC_POLICIES = ("shrink_restripe", "grow_restripe", "migrate_stragglers")
+_ELASTIC_N = 32
+
+
+
+def _scenarios(nodes):
+    """(policy, victim nodes): one or two distinct victims."""
+    return st.tuples(
+        st.sampled_from(_ELASTIC_POLICIES),
+        st.lists(st.integers(0, nodes - 1), min_size=1, max_size=2, unique=True),
+    )
+
+
+_elastic_cases = st.sampled_from([4, 8]).flatmap(
+    lambda nodes: st.tuples(st.just(nodes), _scenarios(nodes), _scenarios(nodes))
+)
+
+
+def _elastic_run(app, nodes, policy, victims, base_makespan=None):
+    """Compile and run one scenario; returns everything observable about it.
+
+    ``victims`` crash for good (and rejoin under ``grow_restripe``) or limp
+    at quarter speed (``migrate_stragglers``).  A second crash that lands
+    while the first is still re-striping kills the run with a typed fault;
+    that outcome must not depend on the caches either.
+    """
+    model = _ELASTIC_APPS[app](_ELASTIC_N, nodes)
+    glue = generate_glue(model, benchmark_mapping(model, nodes),
+                         num_processors=nodes)
+    plan = None
+    if base_makespan is not None:
+        plan = FaultPlan(seed=5)
+        for i, victim in enumerate(victims):
+            if policy == "migrate_stragglers":
+                plan.slow_node(victim, at=base_makespan * 0.05, factor=0.25)
+                continue
+            plan.crash_node(victim, at=base_makespan * (0.2 + 0.1 * i),
+                            permanent=True)
+            if policy == "grow_restripe":
+                plan.join_node(victim, at=base_makespan * (0.55 + 0.05 * i))
+    env = Environment()
+    cluster = SimCluster.from_platform(env, cspi(), nodes, fault_plan=plan)
+    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only(),
+                          fault_policy=FaultPolicy.named(policy))
+    try:
+        result = runtime.run(iterations=6)
+    except FaultError as exc:
+        return (type(exc).__name__, str(exc), env.events_processed)
+    return (result.trace.digest(), result.makespan, env.events_processed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(app=st.sampled_from(sorted(_ELASTIC_APPS)), case=_elastic_cases)
+def test_recovery_is_identical_with_prewarmed_and_cold_caches(app, case):
+    nodes, scenario, earlier = case
+    # Fill the caches with everything a stale hit could come from — first,
+    # so a mis-keyed layer would serve it to every later lookup: glue for
+    # another placement of the same model, then the post-shrink / post-grow
+    # mappings of an earlier, different recovery, then this very scenario's.
+    clear_all_caches()
+    model = _ELASTIC_APPS[app](_ELASTIC_N, nodes)
+    generate_glue(model, random_mapping(model, nodes, seed=11),
+                  num_processors=nodes)
+    base = _elastic_run(app, nodes, "shrink_restripe", ())[1]
+    _elastic_run(app, nodes, *earlier, base_makespan=base)
+    _elastic_run(app, nodes, *scenario, base_makespan=base)
+
+    glue_cache = named_cache("codegen.glue_source")
+    misses = glue_cache.misses
+    warm = _elastic_run(app, nodes, *scenario, base_makespan=base)
+    assert glue_cache.misses == misses      # the warm run really was warm
+
+    clear_all_caches()
+    cold = _elastic_run(app, nodes, *scenario, base_makespan=base)
+    assert glue_cache.misses > misses       # ... and the cold one cold
+    assert warm == cold
