@@ -2,9 +2,15 @@
 shapes of every paper artifact (fast, reduced-protocol versions; the full
 numbers live in EXPERIMENTS.md)."""
 
+import ast
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments import (
+    QUICK_PROTOCOL,
     Protocol,
     format_atot_study,
     format_crossvendor,
@@ -48,6 +54,26 @@ class TestProtocol:
         m2 = measure_hand("corner_turn", cspi(), 4, 128, Protocol(runs=3, iterations=3))
         assert m1.run_latencies == m2.run_latencies  # seeded
         assert len(set(m1.run_latencies)) == 3       # but spread
+
+    def test_jitter_does_not_depend_on_the_hash_seed(self):
+        """String hashes are salted per process, so two processes with
+        different PYTHONHASHSEED values must still draw the same jitter."""
+        script = (
+            "from repro.experiments import QUICK_PROTOCOL, measure_hand\n"
+            "from repro.machine import cspi\n"
+            "m = measure_hand('corner_turn', cspi(), 4, 64, QUICK_PROTOCOL)\n"
+            "print(repr(m.run_latencies))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert outputs[0] == outputs[1]
+        assert len(set(ast.literal_eval(outputs[0]))) == QUICK_PROTOCOL.runs
 
     def test_unknown_app(self):
         with pytest.raises(KeyError, match="unknown benchmark"):
