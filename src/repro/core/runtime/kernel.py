@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...machine.cluster import SimCluster
-from ...machine.faults import FaultError, LinkFailure, NodeFailure, TransientError
+from ...machine.faults import FaultError, NodeFailure, TransientError
 from ...machine.simulator import Environment, Event, Interrupt, Process
 from ...mpi.detector import FailureDetector, HeartbeatConfig
 from ...perf.cache import cache_scope
@@ -32,7 +32,7 @@ from .kernels import KernelBinding, KernelError, ThreadContext, default_bindings
 from .policy import FAIL_FAST, FaultPolicy, TransportError
 from .probes import ProbeEvent, Trace
 from .striping import plan_remote_traffic, plan_remote_traffic_delta
-from .transfer import Transfer
+from .transfer import Shipment, Transfer
 
 __all__ = ["SageRuntime", "RunResult", "RuntimeError_"]
 
@@ -133,7 +133,10 @@ class SageRuntime:
         if bindings:
             self.bindings.update(bindings)
         self.trace = trace if trace is not None else Trace()
-        self.fault_policy = fault_policy if fault_policy is not None else FAIL_FAST
+        self.fault_policy = policy = fault_policy if fault_policy is not None else FAIL_FAST
+        #: Retry rule of every message shipped (attempts, backoff, factor).
+        self._retry_rule = (1 + (policy.max_retries if policy.retries_transfers else 0),
+                            policy.backoff, policy.backoff_factor)
         # The cache scope this run is billed to (a service job id, or None
         # for standalone runs).  Scoped runs invalidate only entries they
         # own exclusively, so one tenant's membership change cannot evict
@@ -634,7 +637,7 @@ class SageRuntime:
             raise RuntimeError_("no surviving mirror")  # pragma: no cover
 
         regions, total = self._ship_moved_regions(
-            old_proc, new_map, k, "restripe", holder=mirror_of
+            old_proc, new_map, k, holder=mirror_of
         )
         self._probe_runtime(
             "restripe",
@@ -679,12 +682,11 @@ class SageRuntime:
         old_proc: Dict[Tuple[int, int], int],
         new_map: Mapping,
         k: int,
-        tag: str,
         holder: Callable[[int], int] = lambda proc: proc,
     ) -> Tuple[int, int]:
         """Ship the checkpointed region of every thread that moved, from
-        ``holder(old owner)`` to the new owner, as real fabric transfers
-        whose cost lands in the makespan.  Returns ``(regions, bytes)``."""
+        ``holder(old owner)`` to the new owner, one :class:`Shipment` each,
+        so the cost lands in the makespan.  Returns ``(regions, bytes)``."""
         transfers = [
             (holder(old), new, nbytes, label)
             for buf in self.buffers
@@ -692,16 +694,13 @@ class SageRuntime:
                 buf, lambda f, t: old_proc[(f, t)], new_map.processor_of
             )
         ]
-        procs = [
-            self.env.process(
-                self._restripe_transfer(src, dst, nbytes, label, k),
-                name=f"{tag}:{label}",
-            )
+        shipments = [
+            Shipment(self, src, dst, nbytes, k, label)
             for src, dst, nbytes, label in transfers
             if src != dst and nbytes > 0
         ]
-        if procs:
-            self.env.run(until=self.env.all_of(procs))
+        if shipments:
+            self.env.run(until=self.env.all_of(s.done for s in shipments))
         return len(transfers), sum(nbytes for _, _, nbytes, _ in transfers)
 
     def _jittered(self, delay: float) -> float:
@@ -716,41 +715,6 @@ class SageRuntime:
         if j and delay > 0:
             delay *= 1.0 + j * (2.0 * self._backoff_rng.random() - 1.0)
         return delay
-
-    def _restripe_transfer(self, src: int, dst: int, nbytes: int,
-                           label: str, iteration: int):
-        """Move one checkpointed region to its new owner, with retries."""
-        policy = self.fault_policy
-        attempts = 1 + policy.max_retries
-        delay = policy.backoff
-        failure: Any = None
-        for attempt in range(1, attempts + 1):
-            try:
-                outcome = yield from self.cluster.transfer(src, dst, nbytes)
-            except LinkFailure as exc:
-                if attempt >= attempts:
-                    raise
-                failure = exc
-            else:
-                if outcome.ok:
-                    return
-                failure = outcome.reason
-                if attempt >= attempts:
-                    break
-            self._probe_runtime(
-                "retry",
-                detail=f"restripe {label} {src}->{dst} attempt {attempt}: {failure}",
-                processor=src,
-                iteration=iteration,
-            )
-            if delay > 0:
-                yield self.env.timeout(self._jittered(delay))
-            delay *= policy.backoff_factor
-        raise TransportError(
-            f"restripe transfer {label} from processor {src} to {dst} "
-            f"undelivered: {failure}; gave up after {attempts} attempt(s) "
-            f"at t={self.env.now:.6f}"
-        )
 
     # -- elastic membership (grow_restripe) --------------------------------------
     def _maybe_grow(self, k: int) -> None:
@@ -841,7 +805,7 @@ class SageRuntime:
         # Moved regions travel from their live current owner (a survivor) to
         # the restored owner — unlike shrinking recovery, no ring mirror is
         # needed because the old owner is alive.
-        regions, total = self._ship_moved_regions(old_proc, new_map, k, "migrate")
+        regions, total = self._ship_moved_regions(old_proc, new_map, k)
         pause = self.env.now - quiesce_at
         REGISTRY.record("runtime.migration_pause_s", pause)
         self._probe_runtime(
@@ -980,7 +944,7 @@ class SageRuntime:
         if self.config.enforce_memory:
             self._check_memory_footprint()
 
-        regions, total = self._ship_moved_regions(old_proc, new_map, k, "drain")
+        regions, total = self._ship_moved_regions(old_proc, new_map, k)
         pause = self.env.now - quiesce_at
         REGISTRY.record("runtime.straggler_pause_s", pause)
         self._probe_runtime(
@@ -1043,7 +1007,7 @@ class SageRuntime:
         if self.config.enforce_memory:
             self._check_memory_footprint()
 
-        regions, total = self._ship_moved_regions(old_proc, new_map, k, "restore")
+        regions, total = self._ship_moved_regions(old_proc, new_map, k)
         pause = self.env.now - quiesce_at
         REGISTRY.record("runtime.straggler_pause_s", pause)
         self._probe_runtime(

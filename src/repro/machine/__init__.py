@@ -13,7 +13,7 @@ from .simulator import (
     Timeout,
 )
 from .node import CpuSpec, SimNode
-from .interconnect import Fabric, FabricSpec, LinkSpec, TransferOutcome
+from .interconnect import Crossing, Fabric, FabricSpec, LinkSpec, TransferOutcome
 from .cluster import SimCluster
 from .faults import (
     FaultError,
@@ -39,6 +39,7 @@ __all__ = [
     "Timeout",
     "CpuSpec",
     "SimNode",
+    "Crossing",
     "Fabric",
     "FabricSpec",
     "LinkSpec",

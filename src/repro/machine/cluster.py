@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Union
 
 from .faults import FaultInjector, FaultPlan
-from .interconnect import Fabric, FabricSpec
+from .interconnect import Crossing, Fabric, FabricSpec
 from .node import CpuSpec, SimNode
 from .platforms import PlatformSpec
 from .simulator import Environment
@@ -185,10 +185,6 @@ class SimCluster:
             ) from None
 
     def transfer(self, src: int, dst: int, nbytes: float):
-        """Generator: fabric transfer between two node indices.
-
-        Returns the fabric's :class:`~repro.machine.interconnect.TransferOutcome`
-        (always a clean delivery unless a fault plan is installed).
-        """
-        outcome = yield from self.fabric.transfer(src, dst, nbytes)
-        return outcome
+        """Generator over one :class:`~repro.machine.interconnect.Crossing`;
+        returns its :class:`~repro.machine.interconnect.TransferOutcome`."""
+        return (yield Crossing(self.env, self.fabric, src, dst, nbytes).done)

@@ -11,16 +11,19 @@ profitable.
 Two locality tiers are modeled, matching the CSPI target machine description
 (§3.2): *intra-board* transfers between processors on the same quad-PPC board
 are faster than *inter-board* transfers across the Myrinet fabric.
+
+Every message, whoever sends it, crosses the fabric as a :class:`Crossing`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from .simulator import Environment, Resource
+from .faults import LinkFailure
+from .simulator import Environment, Event, Resource, Timeout
 
-__all__ = ["LinkSpec", "FabricSpec", "Fabric", "TransferOutcome"]
+__all__ = ["LinkSpec", "FabricSpec", "Fabric", "TransferOutcome", "Crossing"]
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,9 @@ class TransferOutcome:
     @property
     def ok(self) -> bool:
         return self.delivered and not self.corrupted
+
+    def __str__(self) -> str:
+        return self.reason
 
 
 #: The common case: no fault layer, clean delivery.
@@ -87,11 +93,8 @@ class FabricSpec:
 
 
 class Fabric:
-    """A fabric instance bound to a simulation environment.
-
-    ``transfer(src, dst, nbytes)`` is a process generator charging the modeled
-    time on the (possibly contended) link between two node indices.
-    """
+    """A fabric bound to a simulation environment: link costs, per-node NIC
+    ports and the fault layer's rulings, for every :class:`Crossing`."""
 
     def __init__(self, env: Environment, spec: FabricSpec, boards: Dict[int, int]):
         """``boards`` maps node index -> board index (locality tiers)."""
@@ -129,11 +132,17 @@ class Fabric:
         return stranded
 
     def transfer_time(self, src: int, dst: int, nbytes: float) -> float:
-        """Uncontended transfer time between two nodes."""
-        if src == dst:
-            # Loopback: charged by the caller as a memory copy, not here.
-            return 0.0
-        return self.spec.link_for(self.same_board(src, dst)).transfer_time(nbytes)
+        """Uncontended time of a crossing; 0 for loopback (the caller's copy)."""
+        return 0.0 if src == dst else self.wire_time(src, dst, nbytes)
+
+    def wire_time(self, src: int, dst: int, nbytes: float) -> float:
+        """Jitter-free wire time of one crossing over the possibly degraded
+        link: ``sw_overhead + latency + nbytes / (bandwidth * factor)``."""
+        boards = self.boards  # same_board(), inlined: once per message
+        link = self.spec.link_for(boards.get(src) == boards.get(dst))
+        faults = self.faults
+        factor = faults.link_factor(src, dst) if faults is not None else 1.0
+        return link.sw_overhead + link.latency + nbytes / (link.bandwidth * factor)
 
     def _port(self, table: Dict[int, Resource], node: int) -> Resource:
         port = table.get(node)
@@ -142,30 +151,12 @@ class Fabric:
             table[node] = port
         return port
 
-    def _acquire(self, resource: Resource):
-        """Sub-generator: interrupt-safe resource acquisition.
-
-        An exception thrown while suspended on the request (fault-recovery
-        interrupts) cancels the request so the port is never leaked.
-        """
-        req = resource.request()
-        try:
-            yield req
-        except BaseException:
-            resource.cancel(req)
-            raise
-
     def route(self, src: int, dst: int, nbytes: float):
-        """Admit one crossing: ``(duration, inject, shared, eject)``.
-
-        Consults the fault layer (both endpoints alive, link up — raising
-        :class:`~repro.machine.faults.NodeFailure` /
-        :class:`~repro.machine.faults.LinkFailure` otherwise), then prices
-        the wire time over the possibly degraded, possibly jittery link.
-        The three resources are to be acquired in the order returned and
-        held for ``duration``; ``shared`` is None unless the hop crosses a
-        shared medium.  Loopback (``src == dst``) returns None: the caller
-        charges it as a memory copy.
+        """Admit one crossing: ``(duration, inject, shared, eject)``, to be
+        acquired in that order (``shared`` is None off a shared medium) and
+        held for ``duration``, the wire time plus seeded gray-failure jitter.
+        Raises ``NodeFailure`` / ``LinkFailure`` for a dead endpoint or a
+        down link; returns None for loopback (the caller's memory copy).
         """
         faults = self.faults
         if faults is not None:
@@ -174,17 +165,13 @@ class Fabric:
             faults.check_link(src, dst)
         if src == dst:
             return None
-        boards = self.boards  # same_board(), inlined: once per message
-        same_board = boards.get(src) == boards.get(dst)
-        link = self.spec.link_for(same_board)
-        factor = faults.link_factor(src, dst) if faults is not None else 1.0
-        duration = link.sw_overhead + link.latency + nbytes / (link.bandwidth * factor)
+        duration = self.wire_time(src, dst, nbytes)
         if faults is not None:
             # Gray-failure jitter: seeded extra wire latency on noisy links.
             duration += faults.sample_jitter(src, dst)
         inject = self._port(self._inject, src)
         eject = self._port(self._eject, dst)
-        shared = None if self.spec.crossbar or same_board else self._shared
+        shared = None if self.spec.crossbar or self.same_board(src, dst) else self._shared
         return duration, inject, shared, eject
 
     def verdict(self, src: int, dst: int, nbytes: float) -> TransferOutcome:
@@ -197,9 +184,7 @@ class Fabric:
         if not faults.alive(dst):
             return TransferOutcome(delivered=False, reason=f"node {dst} died in flight")
         if not faults.link_up(src, dst):
-            return TransferOutcome(
-                delivered=False, reason=f"link {src}<->{dst} dropped in flight"
-            )
+            return TransferOutcome(False, reason=f"link {src}<->{dst} dropped in flight")
         outcome = faults.sample_delivery(src, dst, nbytes)
         if outcome == "lost":
             return TransferOutcome(delivered=False, reason="message lost")
@@ -207,37 +192,176 @@ class Fabric:
             return TransferOutcome(corrupted=True, reason="message corrupted")
         return _CLEAN
 
-    def transfer(self, src: int, dst: int, nbytes: float):
-        """Generator: move ``nbytes`` from ``src`` to ``dst``, with contention.
 
-        Acquisition order is inject -> shared medium -> eject (a fixed
-        hierarchy, so concurrent transfers can never deadlock); the message
-        holds all its resources for the full wire time, modelling wormhole
-        head-of-line blocking.
+class Crossing:
+    """One message from ``src`` to ``dst``, starting itself: ``Fabric.route``,
+    inject -> [shared] -> eject held for the wire time, ``Fabric.verdict``,
+    then retry or finish (the stage table is in ``docs/RUNTIME.md``).
 
-        Returns a :class:`TransferOutcome`.  With a fault layer installed,
-        the transfer may raise :class:`~repro.machine.faults.NodeFailure` /
-        :class:`~repro.machine.faults.LinkFailure` at injection time, run
-        slower over a degraded link, or come back undelivered/corrupted.
-        """
-        route = self.route(src, dst, nbytes)
-        if route is None:
-            return _CLEAN
-        duration, inject, shared, eject = route
-        yield from self._acquire(inject)
+    A hand-rolled simulator process with one verb — *hold these resources
+    for this long, then continue there* — scheduling exactly the events a
+    generator process would, in the same order.  ``done`` fires with the
+    accepted :class:`TransferOutcome` (nothing if cancelled); a stage that
+    raises fails ``done`` if it is awaited, else leaves the engine step.
+    Senders subclass it: ``attempts``/``backoff``/``factor`` and the hooks
+    below are their retry rule and their own stages."""
+
+    __slots__ = ("env", "fabric", "src", "dst", "nbytes", "done", "_chain",
+                 "_held", "_duration", "_then", "_target", "_attempt",
+                 "_attempts", "_delay", "_factor")
+
+    #: A delivered-but-corrupted payload arrives (the receiver checks it).
+    corrupt_ok = False
+
+    def __init__(self, env: Environment, fabric: Fabric, src: int, dst: int,
+                 nbytes: float, attempts: int = 1, backoff: float = 0.0,
+                 factor: float = 1.0):
+        self.env, self.fabric = env, fabric
+        self.src, self.dst, self.nbytes = src, dst, nbytes
+        self.done = Event(env)
+        #: Resources to hold together, in acquisition order.  The first
+        #: ``_held`` are held; ``_target`` is the next one's request or, with
+        #: all held, the timeout after which they go back and ``_then`` runs.
+        self._chain: Tuple[Resource, ...] = ()
+        self._held = 0
+        self._then: Optional[Callable[[], None]] = self._begin
+        # As with a process's start event, _target stays unset: a crossing
+        # cancelled before it starts still starts, and dies at the kick.
+        self._target: Optional[Event] = None
+        self._attempt, self._attempts = 1, attempts
+        self._delay, self._factor = backoff, factor
+        Event(env).succeed().callbacks.append(self._elapsed)
+
+    # -- process mechanics ---------------------------------------------------
+    def _hold(self, chain: Tuple[Resource, ...], duration: float,
+              then: Callable[[], None]) -> None:
+        self._chain, self._duration, self._then = chain, duration, then
+        if chain:
+            self._target = request = chain[0].request()
+            request.callbacks.append(self._granted)
+        else:
+            self._target = timeout = Timeout(self.env, duration)
+            timeout.callbacks.append(self._elapsed)
+
+    def _granted(self, request: Event) -> None:
+        if not request._ok:  # the resource was reset under the request
+            self._fail(request._value)
+            return
+        held = self._held = self._held + 1
+        chain = self._chain
+        if held < len(chain):
+            self._target = request = chain[held].request()
+            request.callbacks.append(self._granted)
+        else:
+            self._target = timeout = Timeout(self.env, self._duration)
+            timeout.callbacks.append(self._elapsed)
+
+    def _elapsed(self, _event: Event) -> None:
         try:
-            if shared is not None:
-                yield from self._acquire(shared)
-            try:
-                yield from self._acquire(eject)
-                try:
-                    yield self.env.timeout(duration)
-                finally:
-                    eject.release()
-            finally:
-                if shared is not None:
-                    shared.release()
-        finally:
-            inject.release()
-        # (the None test only spares clean fabrics the call: repro.mpi's path)
-        return _CLEAN if self.faults is None else self.verdict(src, dst, nbytes)
+            self._release()
+            self._then()
+        except BaseException as exc:
+            self._fail(exc)
+
+    def _release(self) -> None:
+        """Withdraw the pending request and release what is held, innermost
+        first — a generator's ``try``/``finally`` blocks."""
+        chain = self._chain
+        self._chain = ()
+        if self._held < len(chain):
+            chain[self._held].cancel(self._target)
+        while self._held:
+            self._held -= 1
+            chain[self._held].release()
+
+    def _end(self) -> None:
+        self._then = None  # also breaks the cycle through the bound method
+
+    def _die(self) -> None:
+        self._end()
+        self._release()
+
+    def _fail(self, exc: BaseException) -> None:
+        self._die()
+        if not self.done.callbacks:
+            raise exc
+        self.done.fail(exc)
+
+    def _finish(self, value: Any = None) -> None:
+        self._end()
+        self.done.succeed(value)
+
+    def _detach(self) -> None:
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            step = self._granted if self._held < len(self._chain) else self._elapsed
+            if step in target.callbacks:
+                target.callbacks.remove(step)
+
+    def cancel(self) -> None:
+        """Kill the crossing now (fault recovery): a kick event at the current
+        instant withdraws its pending request and releases what it holds."""
+        self._detach()
+        Event(self.env).succeed().callbacks.append(self._cancelled)
+
+    def _cancelled(self, _kick: Event) -> None:
+        if self._then is None:
+            return  # finished or failed in the meantime
+        self._detach()  # it may have moved on to another event since cancel()
+        self._die()
+        self.done.succeed()
+
+    # -- the crossing ---------------------------------------------------------
+    def _begin(self) -> None:
+        self._cross()
+
+    def _cross(self) -> None:
+        """One attempt: admission, then the ports held for the wire time."""
+        try:
+            route = self.fabric.route(self.src, self.dst, self.nbytes)
+        except LinkFailure as exc:
+            self._failed(exc)  # outages may heal; node crashes propagate
+            return
+        if route is None:  # loopback: nothing crosses the fabric
+            self._arrive(_CLEAN)
+            return
+        duration, inject, shared, eject = route
+        chain = (inject, eject) if shared is None else (inject, shared, eject)
+        self._hold(chain, duration, self._crossed)
+
+    def _crossed(self) -> None:
+        outcome = self.fabric.verdict(self.src, self.dst, self.nbytes)
+        if outcome.ok or (self.corrupt_ok and outcome.delivered):
+            self._arrive(outcome)
+        else:
+            self._failed(outcome)
+
+    def _failed(self, failure: Any) -> None:
+        """The one retry loop (an ack-protocol model: the sender observes
+        the verdict): back off and cross again while attempts last."""
+        if self._attempt >= self._attempts:
+            self._undelivered(failure)
+            return
+        delay = self._delay
+        self._delay *= self._factor
+        sleep = self._backoff(failure, delay)
+        self._attempt += 1
+        if sleep > 0:
+            self._hold((), sleep, self._cross)
+        else:
+            self._cross()
+
+    # -- the sender's hooks ---------------------------------------------------
+    def _backoff(self, failure: Any, delay: float) -> float:
+        """Record a retry of ``failure``; return the sleep before it."""
+        return delay
+
+    def _arrive(self, outcome: TransferOutcome) -> None:
+        self._finish(outcome)
+
+    def _undelivered(self, failure: Any) -> None:
+        """Out of attempts on ``failure`` (a ``LinkFailure`` or a verdict):
+        raise, or finish without an arrival."""
+        if isinstance(failure, BaseException):
+            raise failure
+        self._finish(failure)

@@ -14,13 +14,17 @@ rank programs are *generators* and every communication call is either
 
 Timing model
 ------------
-A message from rank *s* to rank *d* charges the fabric link between the two
-nodes (holding it, so concurrent messages over the same pair serialise) for
-``sw_overhead + latency + nbytes/bandwidth``.  Loopback messages (``s == d``)
-charge the node's memory-copy cost instead.  Blocking ``send`` returns once
-the payload is on the wire and buffered at the receiver (buffered-send
-semantics, like the small-message eager protocol of the vendor MPIs in §3.1);
-``recv`` blocks until a matching message has fully arrived.
+A message from rank *s* to rank *d* is one fabric
+:class:`~repro.machine.interconnect.Crossing`, the same one the SAGE
+run-time's messages take: *s*'s inject port, the shared medium if any and
+*d*'s eject port are held together for the wire time, so concurrent messages
+through a port serialise.  Loopback messages (``s == d``) charge the node's
+memory-copy cost instead.  ``isend`` starts the crossing and its
+:class:`Request` is the crossing's completion; blocking ``send`` is
+``isend`` + ``wait``, returning once the payload is buffered at the receiver
+(buffered-send semantics, like the small-message eager protocol of the
+vendor MPIs in §3.1).  ``recv`` blocks until a matching message has fully
+arrived.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tup
 
 from ..machine.cluster import SimCluster
 from ..machine.faults import FaultError
+from ..machine.interconnect import Crossing
 from ..machine.simulator import Environment, Event, Process
 from .datatypes import ANY_SOURCE, ANY_TAG, copy_and_size, payload_nbytes
 from .errors import (
@@ -327,70 +332,23 @@ class Communicator:
     # -- point-to-point ----------------------------------------------------
     def send(self, data: Any, dest: int, tag: int = 0,
              retry: Optional[RetryPolicy] = None) -> Generator:
-        """Blocking buffered send (sub-generator).
+        """Blocking buffered send (sub-generator): :meth:`isend` + wait."""
+        yield from self.isend(data, dest, tag=tag, retry=retry).wait()
+
+    def isend(self, data: Any, dest: int, tag: int = 0,
+              retry: Optional[RetryPolicy] = None) -> Request:
+        """Nonblocking send: a request that completes once the payload is
+        buffered at the receiver.
 
         Without a retry policy the send is fire-and-forget: over a lossy
         fabric the payload may silently vanish (the receiver's timeout
         machinery is then the only detector).  With ``retry`` (or a
-        communicator-level ``retry_policy``) the sender observes the
-        delivery outcome and re-transmits with exponential backoff, raising
-        :class:`~repro.mpi.errors.DeliveryError` once attempts are
-        exhausted.
+        communicator-level ``retry_policy``) the sender re-transmits with
+        exponential backoff, failing the request with
+        :class:`~repro.mpi.errors.DeliveryError` once attempts run out.
         """
-        self._check_revoked(tag)
         policy = retry if retry is not None else self.retry_policy
-        dest_g = self._g(dest)
-        if dest_g in self.world._dead_view(self.global_rank):
-            raise ProcessFailedError(
-                f"rank {self.rank}: send to rank {dest} tag {tag} failed: "
-                f"rank {dest} declared dead (t={self.env.now:.6f})",
-                ranks=(dest_g,),
-            )
-        if policy is None:
-            yield from self.world._send(
-                self.global_rank, dest_g, tag, data, comm=self, context=self.context
-            )
-            return
-        from ..machine.faults import LinkFailure
-
-        delay = policy.backoff
-        failure = "undelivered"
-        for attempt in range(policy.max_attempts):
-            if attempt:
-                sleep = delay
-                if policy.jitter and sleep > 0:
-                    # Seeded, event-ordered draw: spread simultaneous
-                    # retries out without giving up reproducibility.
-                    sleep *= 1.0 + policy.jitter * (
-                        2.0 * self.world._backoff_rng.random() - 1.0
-                    )
-                if sleep > 0:
-                    yield self.env.timeout(sleep)
-                delay *= policy.factor
-            try:
-                outcome = yield from self.world._send(
-                    self.global_rank, dest_g, tag, data,
-                    comm=self, context=self.context,
-                )
-            except LinkFailure as exc:
-                failure = str(exc)  # transient outage: back off and retry
-                continue
-            if outcome is None or outcome.delivered:
-                return
-            failure = outcome.reason or "message lost"
-        raise DeliveryError(
-            f"rank {self.rank}: send to rank {dest} tag {tag} failed after "
-            f"{policy.max_attempts} attempt(s) at t={self.env.now:.6f}: {failure}"
-        )
-
-    def isend(self, data: Any, dest: int, tag: int = 0,
-              retry: Optional[RetryPolicy] = None) -> Request:
-        """Nonblocking send; the transfer proceeds as a background process."""
-        proc = self.env.process(
-            self.send(data, dest, tag=tag, retry=retry),
-            name=f"isend r{self.rank}->r{dest} tag{tag}",
-        )
-        return Request(self.env, proc)
+        return Request(self.env, _Send(self, data, dest, tag, policy).done)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              timeout: Optional[float] = None,
@@ -535,14 +493,16 @@ class Communicator:
                 (e for e in entries if e[0] == color), key=lambda e: (e[1], e[2])
             )
         ]
-        context = self.world._intern_context(
-            (self.context, color, tuple(members))
+        return self._derive(
+            members, self.world._intern_context((self.context, color, tuple(members)))
         )
+
+    def _derive(self, members: List[int], context: int) -> "Communicator":
+        """This rank's endpoint into ``context`` over ``members`` (global
+        ranks), inheriting this endpoint's fault-tolerance defaults."""
         self.world._register_context(context, members)
-        sub = Communicator(
-            self.world, members.index(self.global_rank), members=members,
-            context=context,
-        )
+        sub = Communicator(self.world, members.index(self.global_rank),
+                           members=members, context=context)
         sub.default_timeout = self.default_timeout
         sub.retry_policy = self.retry_policy
         sub.adaptive_timeout = self.adaptive_timeout
@@ -680,18 +640,9 @@ class Communicator:
                 f"rank {self.rank}: this rank was agreed failed during shrink",
                 ranks=failed,
             )
-        context = self.world._intern_context(
+        return self._derive(survivors, self.world._intern_context(
             ("shrink", self.context, seq, tuple(survivors))
-        )
-        self.world._register_context(context, survivors)
-        sub = Communicator(
-            self.world, survivors.index(self.global_rank), members=survivors,
-            context=context,
-        )
-        sub.default_timeout = self.default_timeout
-        sub.retry_policy = self.retry_policy
-        sub.adaptive_timeout = self.adaptive_timeout
-        return sub
+        ))
 
     def grow(self, joiners: Sequence[int],
              timeout: Optional[float] = None) -> Generator:
@@ -728,18 +679,9 @@ class Communicator:
                     f"add the node to the cluster before growing"
                 )
         new_members = survivors + extra
-        context = self.world._intern_context(
+        return self._derive(new_members, self.world._intern_context(
             ("grow", self.context, seq, tuple(new_members))
-        )
-        self.world._register_context(context, new_members)
-        sub = Communicator(
-            self.world, new_members.index(self.global_rank),
-            members=new_members, context=context,
-        )
-        sub.default_timeout = self.default_timeout
-        sub.retry_policy = self.retry_policy
-        sub.adaptive_timeout = self.adaptive_timeout
-        return sub
+        ))
 
     # -- collectives (implemented in collectives.py, bound here) -------------
     # These are assigned at import time at the bottom of collectives.py to
@@ -759,6 +701,86 @@ def _check_integrity(msg: Message, rank: int, max_bytes: Optional[int]) -> None:
             f"rank {rank}: message from rank {msg.source} tag {msg.tag} "
             f"failed integrity check (corrupted in transit)"
         )
+
+
+#: A send without a policy: one attempt, and a lost payload is no error.
+_SEND_ONCE = RetryPolicy(max_attempts=1)
+
+
+class _Send(Crossing):
+    """One point-to-point message under the sender's :class:`RetryPolicy`:
+    its fabric crossing, or a memory copy on loopback.  Each attempt posts a
+    fresh copy of the payload; a corrupted one is delivered flagged."""
+
+    __slots__ = ("comm", "data", "dest", "tag", "policy", "msg")
+
+    corrupt_ok = True
+
+    def __init__(self, comm: "Communicator", data: Any, dest: int, tag: int,
+                 policy: Optional[RetryPolicy]):
+        self.comm, self.data, self.dest, self.tag, self.policy = comm, data, dest, tag, policy
+        rule = policy or _SEND_ONCE
+        super().__init__(comm.env, comm.world.cluster.fabric, comm.global_rank,
+                         dest, 0, rule.max_attempts, rule.backoff, rule.factor)
+
+    def _begin(self) -> None:
+        comm = self.comm
+        comm._check_revoked(self.tag)
+        self.dst = comm._g(self.dest)
+        if self.dst in comm.world._dead_view(self.src):
+            raise ProcessFailedError(
+                f"rank {comm.rank}: send to rank {self.dest} tag {self.tag} "
+                f"failed: rank {self.dest} declared dead (t={self.env.now:.6f})",
+                ranks=(self.dst,),
+            )
+        self._cross()
+
+    def _cross(self) -> None:
+        comm, world = self.comm, self.comm.world
+        payload, nbytes = copy_and_size(self.data)
+        self.msg = Message(self.src, self.dst, self.tag, payload,
+                           sent_at=self.env.now, nbytes=nbytes)
+        self.nbytes = nbytes
+        comm.bytes_sent += nbytes
+        comm.messages_sent += 1
+        world.total_bytes += nbytes
+        world.total_messages += 1
+        if self.src != self.dst:
+            super()._cross()
+            return
+        node = world.cluster.node(self.src)
+        self._hold((node.cpu,), node.busy_time(node.spec.copy_time(nbytes)),
+                   self._copied)
+
+    def _copied(self) -> None:
+        self.comm.world.cluster.node(self.src).check_alive()
+        self._arrive(None)
+
+    def _backoff(self, failure: Any, delay: float) -> float:
+        jitter = self.policy.jitter
+        if jitter and delay > 0:
+            # Seeded, event-ordered draw: spread simultaneous retries out
+            # without giving up reproducibility.
+            delay *= 1.0 + jitter * (2.0 * self.comm.world._backoff_rng.random() - 1.0)
+        return delay
+
+    def _arrive(self, outcome) -> None:
+        msg = self.msg
+        msg.corrupted = outcome is not None and outcome.corrupted
+        msg.arrived_at = self.env.now
+        self.comm.world._mailbox(self.dst, self.comm.context).deliver(msg)
+        self._finish()
+
+    def _undelivered(self, failure: Any) -> None:
+        policy = self.policy
+        if policy is None:
+            if isinstance(failure, BaseException):
+                raise failure
+            self._finish()  # lost in transit: the wire time was spent
+            return
+        raise DeliveryError(
+            f"rank {self.comm.rank}: send to rank {self.dest} tag {self.tag} failed after "
+            f"{policy.max_attempts} attempt(s) at t={self.env.now:.6f}: {failure}")
 
 
 class MpiWorld:
@@ -871,15 +893,7 @@ class MpiWorld:
             raise RankError(
                 f"rank {global_rank} is not a member of context {context}"
             )
-        comm = Communicator(
-            self, members.index(global_rank),
-            members=list(members), context=context,
-        )
-        world_comm = self.comms[global_rank]
-        comm.default_timeout = world_comm.default_timeout
-        comm.retry_policy = world_comm.retry_policy
-        comm.adaptive_timeout = world_comm.adaptive_timeout
-        return comm
+        return self.comms[global_rank]._derive(list(members), context)
 
     # -- failure detection --------------------------------------------------
     def attach_detector(self, detector) -> None:
@@ -1021,31 +1035,6 @@ class MpiWorld:
             ctx = len(self._contexts) + 1
             self._contexts[key] = ctx
         return ctx
-
-    def _send(self, src: int, dest: int, tag: int, data: Any,
-              comm: Communicator, context: int = 0):
-        if not (0 <= dest < self.size):
-            raise RankError(f"destination rank {dest} out of range [0, {self.size})")
-        payload, nbytes = copy_and_size(data)
-        msg = Message(src, dest, tag, payload, sent_at=self.env.now, nbytes=nbytes)
-        comm.bytes_sent += msg.nbytes
-        comm.messages_sent += 1
-        self.total_bytes += msg.nbytes
-        self.total_messages += 1
-        outcome = None
-        if src == dest:
-            # Loopback: one memory copy on the local node.
-            yield from self.cluster.node(src).copy(msg.nbytes)
-        else:
-            outcome = yield from self.cluster.transfer(src, dest, msg.nbytes)
-            if outcome is not None and not outcome.delivered:
-                # Lost in transit: the wire time was spent, nothing arrives.
-                return outcome
-            if outcome is not None and outcome.corrupted:
-                msg.corrupted = True
-        msg.arrived_at = self.env.now
-        self._mailbox(dest, context).deliver(msg)
-        return outcome
 
     def _recv(self, rank: int, source: int, tag: int, context: int = 0,
               timeout: Optional[float] = None,

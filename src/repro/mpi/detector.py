@@ -475,45 +475,28 @@ class FailureDetector:
 
     def _announce(self, src: int, dst: int):
         """One join announcement over the out-of-band channel."""
-        arrived = yield from self._oob_send(src, dst)
-        if arrived:
+        if (yield from self._oob_send(src, dst)):
             self._receive_announce(dst, src)
 
     def _admit_ack(self, coord: int, joiner: int):
         """The coordinator's admission ack back to the joiner."""
-        arrived = yield from self._oob_send(coord, joiner)
-        if arrived:
+        if (yield from self._oob_send(coord, joiner)):
             self._absorb(joiner, coord)
 
     def _oob_send(self, src: int, dst: int):
-        """Sub-generator: one control message over the heartbeat channel.
-
-        Same cost and loss model as :meth:`_ping`; returns True when the
-        payload arrived.
-        """
-        cfg = self.config
-        cluster = self.cluster
-        faults = cluster.faults
-        fabric = cluster.fabric
+        """Sub-generator: one heartbeat-channel message, priced and ruled by
+        the fabric (``wire_time``, ``verdict``) but holding no NIC port (see
+        the module docstring); returns True when the payload arrived."""
+        fabric = self.cluster.fabric
+        faults = fabric.faults
         if faults is not None and not faults.link_up(src, dst):
             return False
-        link = fabric.spec.link_for(fabric.same_board(src, dst))
-        factor = faults.link_factor(src, dst) if faults is not None else 1.0
-        wire = (
-            link.sw_overhead + link.latency
-            + cfg.ping_bytes / (link.bandwidth * factor)
-        )
+        nbytes = self.config.ping_bytes
         try:
-            yield self.env.timeout(wire)
+            yield self.env.timeout(fabric.wire_time(src, dst, nbytes))
         except Interrupt:
             return False
-        if faults is not None:
-            if (not faults.alive(src) or not faults.alive(dst)
-                    or not faults.link_up(src, dst)):
-                return False
-            if faults.sample_delivery(src, dst, cfg.ping_bytes) != "delivered":
-                return False
-        return True
+        return self._node_alive(src) and fabric.verdict(src, dst, nbytes).ok
 
     def _receive_announce(self, dst: int, src: int) -> None:
         if dst not in self.views or not self._node_alive(dst):
@@ -601,29 +584,8 @@ class FailureDetector:
             return
 
     def _ping(self, src: int, dst: int, gossip_dead: Tuple[int, ...]):
-        cfg = self.config
-        cluster = self.cluster
-        faults = cluster.faults
-        fabric = cluster.fabric
-        if faults is not None and not faults.link_up(src, dst):
-            return  # lost in the outage
-        link = fabric.spec.link_for(fabric.same_board(src, dst))
-        factor = faults.link_factor(src, dst) if faults is not None else 1.0
-        wire = (
-            link.sw_overhead + link.latency
-            + cfg.ping_bytes / (link.bandwidth * factor)
-        )
-        try:
-            yield self.env.timeout(wire)
-        except Interrupt:
-            return
-        if faults is not None:
-            if (not faults.alive(src) or not faults.alive(dst)
-                    or not faults.link_up(src, dst)):
-                return
-            if faults.sample_delivery(src, dst, cfg.ping_bytes) != "delivered":
-                return  # heartbeat lost on the lossy fabric
-        self._receive_heartbeat(dst, src, gossip_dead)
+        if (yield from self._oob_send(src, dst)):
+            self._receive_heartbeat(dst, src, gossip_dead)
 
     def _grace(self, view: _RankView, peer: int) -> float:
         """Silence tolerated for ``peer`` before a tick counts as a miss.

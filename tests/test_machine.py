@@ -4,6 +4,7 @@ import pytest
 
 from repro.machine import (
     CpuSpec,
+    Crossing,
     Environment,
     Fabric,
     FabricSpec,
@@ -143,7 +144,7 @@ class TestFabric:
         ends = []
 
         def xfer(src, dst):
-            yield from fab.transfer(src, dst, 100e6)  # 1s + 10us inter-board
+            yield Crossing(env, fab, src, dst, 100e6).done  # 1s + 10us inter-board
             ends.append(env.now)
 
         env.process(xfer(0, 2))
@@ -157,7 +158,7 @@ class TestFabric:
         ends = []
 
         def xfer():
-            yield from fab.transfer(0, 2, 100e6)
+            yield Crossing(env, fab, 0, 2, 100e6).done
             ends.append(env.now)
 
         env.process(xfer())
@@ -170,7 +171,7 @@ class TestFabric:
         ends = []
 
         def xfer(src, dst):
-            yield from fab.transfer(src, dst, 100e6)
+            yield Crossing(env, fab, src, dst, 100e6).done
             ends.append(env.now)
 
         env.process(xfer(0, 2))
@@ -183,7 +184,7 @@ class TestFabric:
         ends = []
 
         def xfer(src, dst):
-            yield from fab.transfer(src, dst, 4e6)
+            yield Crossing(env, fab, src, dst, 4e6).done
             ends.append((src, dst, env.now))
 
         env.process(xfer(0, 1))
