@@ -10,7 +10,7 @@ Subpackages
     Message-passing library over the simulator (point-to-point, collectives,
     vendor all-to-all algorithms).
 ``repro.kernels``
-    ISSPL-style math library (radix-2 FFTs, corner turns, signal primitives).
+    ISSPL-style math library (planned FFTs, corner turns, signal primitives).
 ``repro.core.model``
     The SAGE Designer: application/data-type/hardware editors, shelves,
     mappings, validation.

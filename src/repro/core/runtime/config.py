@@ -55,7 +55,8 @@ class RuntimeConfig:
         True: kernels run real numerics (correctness runs).  False: phantom
         payloads flow and only modeled time accrues (benchmark sweeps).
     fft_backend:
-        ``"own"`` for the radix-2 implementation, ``"numpy"`` for speed.
+        ``"own"`` for the planned four-step kernel (``repro.kernels.fft``,
+        the ISSPL stand-in), ``"numpy"`` to delegate to ``numpy.fft``.
     max_in_flight:
         Data-set admission control: how many iterations may overlap in the
         pipeline (None = unbounded).  The §3.3 latency protocol uses 1 (the

@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ...kernels import signal as siglib
-from ...kernels.fft import fft_rows as _fft_rows_impl
+from ...kernels.fft import fft_rows as _fft_rows_impl, ifft_rows as _ifft_rows_impl
 from .phantom import PhantomArray
 
 __all__ = ["ThreadContext", "KernelBinding", "KernelError", "default_bindings"]
@@ -171,33 +171,30 @@ def _run_fft_cols(ctx: ThreadContext, inputs: Dict[str, Any]) -> Dict[str, Any]:
     arr = np.asarray(data)
     if arr.ndim != 2:
         raise KernelError(f"{ctx.name}: fft_cols needs a 2-D block, got {arr.shape}")
-    out = _fft_rows_impl(np.ascontiguousarray(arr.T), backend=ctx.fft_backend).T
-    return {out_port: np.ascontiguousarray(out).astype(ctx.out_dtypes[out_port])}
+    # The kernel's one conversion copy also makes the transposed view dense.
+    out = _fft_rows_impl(arr.T, backend=ctx.fft_backend)
+    return {out_port: out.T.astype(ctx.out_dtypes[out_port], order="C")}
 
 
 def _run_ifft_rows(ctx: ThreadContext, inputs: Dict[str, Any]) -> Dict[str, Any]:
     out_port, data, _ = _single_io(ctx, inputs, "ifft_rows")
     if not ctx.execute_data:
         return {out_port: ctx.phantom_out(out_port)}
-    from ...kernels.fft import ifft_rows
-
     arr = np.asarray(data)
     if arr.ndim != 2:
         raise KernelError(f"{ctx.name}: ifft_rows needs a 2-D block")
-    return {out_port: ifft_rows(arr, backend=ctx.fft_backend).astype(ctx.out_dtypes[out_port])}
+    return {out_port: _ifft_rows_impl(arr, backend=ctx.fft_backend).astype(ctx.out_dtypes[out_port])}
 
 
 def _run_ifft_cols(ctx: ThreadContext, inputs: Dict[str, Any]) -> Dict[str, Any]:
     out_port, data, _ = _single_io(ctx, inputs, "ifft_cols")
     if not ctx.execute_data:
         return {out_port: ctx.phantom_out(out_port)}
-    from ...kernels.fft import ifft_rows
-
     arr = np.asarray(data)
     if arr.ndim != 2:
         raise KernelError(f"{ctx.name}: ifft_cols needs a 2-D block")
-    out = ifft_rows(np.ascontiguousarray(arr.T), backend=ctx.fft_backend).T
-    return {out_port: np.ascontiguousarray(out).astype(ctx.out_dtypes[out_port])}
+    out = _ifft_rows_impl(arr.T, backend=ctx.fft_backend)
+    return {out_port: out.T.astype(ctx.out_dtypes[out_port], order="C")}
 
 
 def _build_filter_kernel(kind: str, size: int, sigma: float) -> np.ndarray:

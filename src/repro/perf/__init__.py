@@ -5,7 +5,8 @@ Two small pieces keep the simulation hot path fast and honest:
 ``repro.perf.cache``
     Named, content-keyed caches for derived artifacts that used to be
     recomputed on every run (striping message plans, parsed Alter ASTs,
-    generated glue + analysis verdicts, collective partner schedules).
+    generated glue + analysis verdicts, collective partner schedules, FFT
+    plans).
     Every cache is registered centrally so ``clear_all_caches()`` is the
     one-line cold-path switch and ``cache_stats()`` shows hit rates.
 

@@ -2,9 +2,9 @@
 
 The hot path recomputes a handful of pure derivations on every run: striping
 message plans, thread regions, parsed Alter ASTs, generated glue source (and
-the analysis verdict that gates it), and collective partner schedules.  All of
-them are functions of immutable inputs, so each gets a :class:`KeyedCache`
-registered here under a stable name.
+the analysis verdict that gates it), collective partner schedules and FFT
+plans.  All of them are functions of immutable inputs, so each gets a
+:class:`KeyedCache` registered here under a stable name.
 
 Invalidation
 ------------

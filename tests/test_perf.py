@@ -73,6 +73,7 @@ def test_hot_path_caches_are_registered():
     # its module is imported.
     import repro.core.codegen.generator  # noqa: F401
     import repro.core.runtime.striping  # noqa: F401
+    import repro.kernels.fft  # noqa: F401
     import repro.mpi.vendor  # noqa: F401
     from repro.core.alter.parser import parse_cached
 
@@ -85,6 +86,7 @@ def test_hot_path_caches_are_registered():
         "codegen.glue_code",
         "alter.parse",
         "mpi.alltoall_schedule",
+        "kernels.fft_plan",
     } <= names
 
 
