@@ -27,7 +27,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.alter.errors import AlterSyntaxError
 from ..core.alter.interpreter import Interpreter
-from ..core.alter.parser import Symbol, parse, parse_with_locations, to_source
+from ..core.alter.parser import Symbol, parse_cached, parse_with_locations, to_source
 from .report import Finding
 
 __all__ = ["lint_script", "script_defines", "builtin_signatures"]
@@ -113,7 +113,7 @@ class _Scope:
 def script_defines(source: str) -> FrozenSet[str]:
     """Names a script ``define``\\ s at top level (visible to later scripts)."""
     try:
-        exprs = parse(source)
+        exprs = parse_cached(source)  # the interpreter's lookup then hits
     except AlterSyntaxError:
         return frozenset()
     names = set()

@@ -9,12 +9,17 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import AlterSyntaxError
-from .lexer import Token, tokenize
+from .lexer import tokenize
 
 __all__ = [
     "Symbol", "parse", "parse_cached", "parse_one", "parse_with_locations",
     "to_source",
 ]
+
+#: Deepest nesting of lists and quotes the reader accepts.  The evaluator and
+#: the linter recurse once or more per level, so deeper input is refused here
+#: as a syntax error rather than overflowing the Python stack later.
+MAX_DEPTH = 256
 
 
 class Symbol(str):
@@ -28,22 +33,17 @@ class Symbol(str):
 
 def parse(source: str) -> List[Any]:
     """Parse a whole program: a list of top-level expressions."""
-    tokens = tokenize(source)
-    pos = 0
-    out: List[Any] = []
-    while pos < len(tokens):
-        expr, pos = _read(tokens, pos)
-        out.append(expr)
-    return out
+    return _read_all(source)
 
 
 def parse_cached(source: str) -> List[Any]:
-    """Memoized :func:`parse` for evaluation call sites.
+    """Memoized :func:`parse` for call sites that only read the tree.
 
     The glue scripts are module constants re-run for every generated model,
-    so their ASTs are cached by source text.  The interpreter treats parsed
-    nodes as read-only (it never rewrites them), which is what makes sharing
-    safe; callers that mutate ASTs must use :func:`parse`.
+    so their ASTs are cached by source text.  The interpreter and the
+    analysis gate's ``script_defines`` treat parsed nodes as read-only (they
+    never rewrite them), which is what makes sharing safe; callers that
+    mutate ASTs must use :func:`parse`.
     """
     from ...perf.cache import named_cache
 
@@ -60,14 +60,8 @@ def parse_with_locations(source: str) -> Tuple[List[Any], Dict[int, Tuple[int, i
     ``(line, col)``.  Literals (ints, strings, booleans) are not tracked:
     Python interns them, so their ``id`` is not a reliable key.
     """
-    tokens = tokenize(source)
-    pos = 0
-    out: List[Any] = []
     locs: Dict[int, Tuple[int, int]] = {}
-    while pos < len(tokens):
-        expr, pos = _read(tokens, pos, locs)
-        out.append(expr)
-    return out, locs
+    return _read_all(source, locs), locs
 
 
 def parse_one(source: str) -> Any:
@@ -78,38 +72,41 @@ def parse_one(source: str) -> Any:
     return exprs[0]
 
 
-def _read(tokens: List[Token], pos: int,
-          locs: Optional[Dict[int, Tuple[int, int]]] = None):
-    if pos >= len(tokens):
-        raise AlterSyntaxError("unexpected end of input")
-    tok = tokens[pos]
-    if tok.kind == "lparen":
-        pos += 1
-        items: List[Any] = []
-        if locs is not None:
-            locs[id(items)] = (tok.line, tok.col)
-        while True:
-            if pos >= len(tokens):
-                raise AlterSyntaxError("unclosed '('", tok.line, tok.col)
-            if tokens[pos].kind == "rparen":
-                return items, pos + 1
-            expr, pos = _read(tokens, pos, locs)
+def _read_all(source: str, locs: Optional[Dict[int, Tuple[int, int]]] = None) -> List[Any]:
+    """Read every top-level expression.  Open lists and quotes sit on an
+    explicit stack, not the Python stack, and at most MAX_DEPTH deep."""
+    out: List[Any] = []
+    items = out  # the list the next finished expression joins
+    stack: List[Tuple[List[Any], str, int, int]] = []  # (enclosing items, opener)
+    for kind, value, line, col in tokenize(source):
+        if kind == "lparen" or kind == "quote":
+            if len(stack) == MAX_DEPTH:
+                raise AlterSyntaxError(f"nesting deeper than {MAX_DEPTH}", line, col)
+            stack.append((items, kind, line, col))
+            items = [] if kind == "lparen" else [Symbol("quote")]
+            if locs is not None:
+                locs[id(items)] = (line, col)
+            continue
+        if kind == "rparen":
+            if not stack or stack[-1][1] == "quote":
+                raise AlterSyntaxError("unexpected ')'", line, col)
+            expr, items = items, stack.pop()[0]
+        elif kind == "symbol":
+            expr = Symbol(value)
+            if locs is not None:
+                locs[id(expr)] = (line, col)
+        else:  # string / number / bool literals pass through
+            expr = value
+        while stack and stack[-1][1] == "quote":  # 'x is (quote x)
             items.append(expr)
-    if tok.kind == "rparen":
-        raise AlterSyntaxError("unexpected ')'", tok.line, tok.col)
-    if tok.kind == "quote":
-        expr, pos = _read(tokens, pos + 1, locs)
-        quoted = [Symbol("quote"), expr]
-        if locs is not None:
-            locs[id(quoted)] = (tok.line, tok.col)
-        return quoted, pos
-    if tok.kind == "symbol":
-        sym = Symbol(tok.value)
-        if locs is not None:
-            locs[id(sym)] = (tok.line, tok.col)
-        return sym, pos + 1
-    # string / number / bool literals pass through
-    return tok.value, pos + 1
+            expr, items = items, stack.pop()[0]
+        items.append(expr)
+    if stack:
+        _, kind, line, col = stack[-1]
+        if kind == "quote":
+            raise AlterSyntaxError("unexpected end of input")
+        raise AlterSyntaxError("unclosed '('", line, col)
+    return out
 
 
 def to_source(expr: Any) -> str:

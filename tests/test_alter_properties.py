@@ -5,7 +5,15 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.alter import Interpreter, Symbol, parse, parse_one, to_source
+from repro.analysis.alter_lint import lint_script
+from repro.core.alter import (
+    AlterSyntaxError,
+    Interpreter,
+    Symbol,
+    parse,
+    parse_one,
+    to_source,
+)
 
 # ---------------------------------------------------------------------------
 # expression generators
@@ -55,6 +63,38 @@ class TestReaderRoundTrip:
     def test_program_roundtrip(self, exprs):
         source = "\n".join(to_source(e) for e in exprs)
         assert parse(source) == [_normalise(e) for e in exprs]
+
+
+#: Token soup: special forms, delimiters, literals and malformed pieces.
+_SOUP_PIECES = (
+    "(", ")", "'", "quote", "if", "cond", "else", "define", "set!", "lambda",
+    "let", "let*", "begin", "while", "and", "or", "when", "unless", ".",
+    "x", "f", "+", "car", "1", "-2.5", "nan", '"s"', "#t", "#f", "#x", "#tx",
+    '"\\q"', '"', ";c\n", "\n",
+)
+#: A run of openers, so some soups nest past the reader's depth limit.
+_OPENER_RUN = st.tuples(st.sampled_from(["(", "'"]), st.integers(1, 400)).map(
+    lambda run: run[0] * run[1])
+_soups = st.lists(st.one_of(st.sampled_from(_SOUP_PIECES), _OPENER_RUN),
+                  max_size=40).map(" ".join)
+
+
+class TestFrontDoor:
+    """Whatever the text, the reader and the linter fail only in their
+    documented way."""
+
+    @given(_soups)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_raises_only_syntax_errors(self, source):
+        try:
+            parse(source)
+        except AlterSyntaxError:
+            pass
+
+    @given(_soups)
+    @settings(max_examples=300, deadline=None)
+    def test_lint_never_raises(self, source):
+        assert isinstance(lint_script(source), list)
 
 
 class TestArithmeticProperties:
