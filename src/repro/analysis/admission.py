@@ -33,8 +33,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.model.mapping import round_robin_mapping
+from ..core.runtime.buffers import buffer_views, endpoint_footprint
 from ..machine.platforms import PlatformSpec
-from .cost import buffer_views, predict_makespan
+from .cost import predict_makespan
 from .report import AnalysisReport, Finding
 from .verifier import analyze_application
 
@@ -44,17 +45,10 @@ _SRC = "admission-lint"
 
 
 def predicted_footprint(app, mapping) -> dict:
-    """Per-processor physical-buffer bytes a mapped model would allocate
-    (one region per buffer endpoint thread, the run-time's formula)."""
-    footprint: dict = {}
-    for view in buffer_views(app):
-        for t in range(view.src_threads):
-            p = mapping.processor_of(view.src_function, t)
-            footprint[p] = footprint.get(p, 0) + view.src_region_bytes(t)
-        for t in range(view.dst_threads):
-            p = mapping.processor_of(view.dst_function, t)
-            footprint[p] = footprint.get(p, 0) + view.dst_region_bytes(t)
-    return footprint
+    """Per-processor physical-buffer bytes a mapped model would allocate:
+    the run-time's :func:`~repro.core.runtime.buffers.endpoint_footprint`
+    over the model's :func:`~repro.core.runtime.buffers.buffer_views`."""
+    return endpoint_footprint(buffer_views(app), mapping.processor_of)
 
 
 def lint_job_spec(

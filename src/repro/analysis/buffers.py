@@ -12,14 +12,18 @@ the logical shape, not heuristics — before any storage is allocated:
   order, so a read would observe the previous iteration's data,
 * **BUF205** — a starved reader thread that owns no elements at all,
 * **BUF206 / BUF207** — the per-node physical-buffer footprint exceeds (or
-  crowds) the platform's DRAM, mirroring the run-time's enforcement in
-  :meth:`~repro.core.runtime.kernel.memory_footprint` terms.
+  crowds) the platform's DRAM: the
+  :func:`~repro.core.runtime.buffers.endpoint_footprint` formula the
+  run-time enforces, summed over this pass's own region tables so the
+  ``src_regions`` / ``dst_regions`` overrides below count too.
 
-Specs are the glue ``LOGICAL_BUFFERS`` dict shape.  A spec may carry
-explicit ``src_regions`` / ``dst_regions`` overrides — per-thread lists of
-``(start, stop)`` pairs per axis — which replace the striping-derived
-regions; irregular AToT partitions use this hook, and it is how the
-seeded-defect corpus plants overlap and coverage hazards.
+Specs are the glue ``LOGICAL_BUFFERS`` dict shape, as
+:func:`~repro.core.runtime.buffers.logical_buffer_specs` (re-exported here)
+derives them.  A spec may carry explicit ``src_regions`` / ``dst_regions``
+overrides — per-thread lists of ``(start, stop)`` pairs per axis — which
+replace the striping-derived regions; irregular AToT partitions use this
+hook, and it is how the seeded-defect corpus plants overlap and coverage
+hazards.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.model.application import ApplicationModel
 from ..core.model.datatypes import Striping
 from ..core.model.mapping import Mapping
+from ..core.runtime.buffers import logical_buffer_specs
 from ..core.runtime.striping import (
     AxisIndices,
     Region,
@@ -44,42 +48,6 @@ __all__ = ["logical_buffer_specs", "check_buffer_hazards"]
 
 #: Fraction of node DRAM above which BUF207 warns.
 NEAR_CAPACITY = 0.8
-
-
-def logical_buffer_specs(app: ApplicationModel) -> List[dict]:
-    """Derive ``LOGICAL_BUFFERS``-shaped specs straight from the model.
-
-    Mirrors what the glue scripts emit, without executing any Alter code, so
-    the hazard checker can run on a model that fails other passes.
-    """
-    instances = app.function_instances()
-    by_block = {id(inst.block): inst for inst in instances}
-    specs: List[dict] = []
-    for buffer_id, (src, dst) in enumerate(app.flattened_arcs()):
-        src_inst = by_block.get(id(src.block))
-        dst_inst = by_block.get(id(dst.block))
-        if src_inst is None or dst_inst is None:
-            continue  # dangling arc: model validation reports it
-        dt = src.datatype
-        specs.append(
-            {
-                "id": buffer_id,
-                "name": f"{src_inst.path}.{src.name}->{dst_inst.path}.{dst.name}",
-                "shape": tuple(dt.shape),
-                "dtype": dt.dtype,
-                "elem_bytes": dt.elem_bytes,
-                "total_bytes": dt.total_bytes,
-                "src_function": src_inst.function_id,
-                "dst_function": dst_inst.function_id,
-                "src_port": src.name,
-                "dst_port": dst.name,
-                "src_striping": src.striping.to_dict(),
-                "dst_striping": dst.striping.to_dict(),
-                "src_threads": src_inst.threads,
-                "dst_threads": dst_inst.threads,
-            }
-        )
-    return specs
 
 
 def check_buffer_hazards(

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.model.application import ApplicationModel, ModelError
 from ..core.model.mapping import Mapping
-from ..core.runtime.striping import message_plan
+from ..core.runtime.buffers import RuntimeBuffer, buffer_views
 from .report import Finding
 
 __all__ = ["CommOp", "CommSchedule", "derive_comm_schedule", "check_comm_schedule"]
@@ -86,97 +86,65 @@ def derive_comm_schedule(
     for rank in range(nprocs):
         ops[rank] = []
 
-    instances = app.function_instances()
-    by_block = {id(inst.block): inst for inst in instances}
     try:
         order = app.topological_order()
     except ModelError:
-        order = instances
-
-    # Group arcs by producer / consumer function id.
-    arcs = app.flattened_arcs()
-    inbound: Dict[int, List[int]] = {}
-    outbound: Dict[int, List[int]] = {}
-    infos = []
-    for buffer_id, (src, dst) in enumerate(arcs):
-        src_inst = by_block.get(id(src.block))
-        dst_inst = by_block.get(id(dst.block))
-        if src_inst is None or dst_inst is None:  # dangling arc: model checks it
-            infos.append(None)
-            continue
-        infos.append((src, dst, src_inst, dst_inst))
-        inbound.setdefault(dst_inst.function_id, []).append(buffer_id)
-        outbound.setdefault(src_inst.function_id, []).append(buffer_id)
+        order = app.function_instances()
 
     def proc(fid: int, thread: int) -> int:
         return mapping.processor_of(fid, thread)
 
-    def arc_hops(buffer_id: int):
-        """Cross-processor (src_rank, dst_rank) hops of one arc's plan."""
-        src, dst, src_inst, dst_inst = infos[buffer_id]
-        plan = message_plan(
-            src.datatype.shape,
-            src.datatype.elem_bytes,
-            src.striping,
-            src_inst.threads,
-            dst.striping,
-            dst_inst.threads,
+    def hops(buf: RuntimeBuffer) -> List[Tuple[int, int]]:
+        """Cross-processor (src_rank, dst_rank) hops of one buffer's plan."""
+        pairs = (
+            (proc(buf.src_function, m.src_thread), proc(buf.dst_function, m.dst_thread))
+            for m in buf.plan
         )
-        hops = []
-        for msg in plan:
-            sp = proc(src_inst.function_id, msg.src_thread)
-            dp = proc(dst_inst.function_id, msg.dst_thread)
-            if sp != dp:
-                hops.append((sp, dp))
-        return hops
+        return sorted(hop for hop in pairs if hop[0] != hop[1])
 
-    def is_collective(buffer_id: int) -> Optional[Tuple[int, ...]]:
-        """Participant ranks when the arc runs as one all-to-all collective."""
-        src, dst, src_inst, dst_inst = infos[buffer_id]
-        if not (src.striping.is_striped and dst.striping.is_striped):
+    def collective(buf: RuntimeBuffer) -> Optional[Tuple[int, ...]]:
+        """Participant ranks when the buffer runs as one all-to-all collective."""
+        src, dst = buf.src_striping, buf.dst_striping
+        if not (src.is_striped and dst.is_striped) or src.axis == dst.axis:
             return None
-        if src.striping.axis == dst.striping.axis:
-            return None
-        src_procs = {proc(src_inst.function_id, t) for t in range(src_inst.threads)}
-        dst_procs = {proc(dst_inst.function_id, t) for t in range(dst_inst.threads)}
+        src_procs = {proc(buf.src_function, t) for t in range(buf.src_threads)}
+        dst_procs = {proc(buf.dst_function, t) for t in range(buf.dst_threads)}
         # Only when both sides live on the same ranks is a symmetric
         # collective legal; otherwise fall back to point-to-point.
         if src_procs != dst_procs or len(src_procs) < 2:
             return None
         return tuple(sorted(src_procs))
 
-    collective_cache: Dict[int, Optional[Tuple[int, ...]]] = {}
+    # Group buffers by producer / consumer function id.
+    inbound: Dict[int, List[RuntimeBuffer]] = {}
+    outbound: Dict[int, List[RuntimeBuffer]] = {}
+    participants: Dict[int, Optional[Tuple[int, ...]]] = {}
+    for buf in buffer_views(app):
+        inbound.setdefault(buf.dst_function, []).append(buf)
+        outbound.setdefault(buf.src_function, []).append(buf)
+        participants[buf.buffer_id] = collective(buf)
 
     for inst in order:
         fid = inst.function_id
-        # Receive phase: inbound arcs deliver before the function fires.
-        for buffer_id in inbound.get(fid, []):
-            where = _arc_where(infos[buffer_id])
-            participants = collective_cache.setdefault(
-                buffer_id, is_collective(buffer_id)
-            )
-            if participants is not None:
-                for rank in participants:
+        # Receive phase: inbound buffers deliver before the function fires.
+        for buf in inbound.get(fid, []):
+            ranks = participants[buf.buffer_id]
+            if ranks is not None:
+                for rank in ranks:
                     ops[rank].append(
-                        CommOp("coll", tag=buffer_id,
-                               participants=participants, where=where)
+                        CommOp("coll", tag=buf.buffer_id,
+                               participants=ranks, where=buf.name)
                     )
                 continue
-            for sp, dp in sorted(arc_hops(buffer_id)):
-                ops[dp].append(CommOp("recv", peer=sp, tag=buffer_id, where=where))
-        # Send phase: outbound arcs ship once the function has produced.
-        for buffer_id in outbound.get(fid, []):
-            if collective_cache.setdefault(buffer_id, is_collective(buffer_id)):
+            for sp, dp in hops(buf):
+                ops[dp].append(CommOp("recv", peer=sp, tag=buf.buffer_id, where=buf.name))
+        # Send phase: outbound buffers ship once the function has produced.
+        for buf in outbound.get(fid, []):
+            if participants[buf.buffer_id]:
                 continue  # handled as a collective at the consumer's phase
-            where = _arc_where(infos[buffer_id])
-            for sp, dp in sorted(arc_hops(buffer_id)):
-                ops[sp].append(CommOp("send", peer=dp, tag=buffer_id, where=where))
+            for sp, dp in hops(buf):
+                ops[sp].append(CommOp("send", peer=dp, tag=buf.buffer_id, where=buf.name))
     return schedule
-
-
-def _arc_where(info) -> str:
-    src, dst, src_inst, dst_inst = info
-    return (f"{src_inst.path}.{src.name}->{dst_inst.path}.{dst.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -38,18 +38,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.model.application import ApplicationModel
 from ..core.model.mapping import Mapping
+from ..core.runtime.buffers import RuntimeBuffer, buffer_views, remote_traffic_tables
 from ..core.runtime.config import DEFAULT_CONFIG, RuntimeConfig
 from ..core.runtime.kernels import ThreadContext, default_bindings
 from ..core.runtime.phantom import PhantomArray
-from ..core.runtime.striping import (
-    message_plan,
-    plan_remote_traffic,
-    region_elems,
-    region_shape,
-    thread_region,
-)
+from ..core.runtime.striping import region_shape
 from ..machine.platforms import PlatformSpec
-from .buffers import logical_buffer_specs
 from .report import Finding
 
 __all__ = [
@@ -66,64 +60,6 @@ IMBALANCE_FACTOR = 1.5
 #: PERF002 fires when a NIC port is busy more than this fraction of the
 #: predicted iteration latency.
 OVERSUBSCRIPTION = 0.6
-
-
-class _BufView:
-    """A logical buffer's striping tables, derived without a runtime."""
-
-    def __init__(self, spec: dict):
-        from ..core.model.datatypes import Striping
-
-        self.buffer_id: int = spec["id"]
-        self.name: str = spec["name"]
-        self.shape: Tuple[int, ...] = tuple(spec["shape"])
-        self.dtype: str = spec["dtype"]
-        self.elem_bytes: int = int(spec["elem_bytes"])
-        self.src_function: int = spec["src_function"]
-        self.dst_function: int = spec["dst_function"]
-        self.src_port: str = spec["src_port"]
-        self.dst_port: str = spec["dst_port"]
-        self.src_striping = Striping.from_dict(spec["src_striping"])
-        self.dst_striping = Striping.from_dict(spec["dst_striping"])
-        self.src_threads: int = spec["src_threads"]
-        self.dst_threads: int = spec["dst_threads"]
-        self.plan = message_plan(
-            self.shape, self.elem_bytes,
-            self.src_striping, self.src_threads,
-            self.dst_striping, self.dst_threads,
-        )
-        self._from: Dict[int, list] = {s: [] for s in range(self.src_threads)}
-        for m in self.plan:
-            self._from[m.src_thread].append(m)
-        # The rotated send order the run-time transmits in (start past your
-        # own thread id), so port contention is modeled on the same schedule.
-        self._send_order = {
-            s: sorted(
-                msgs,
-                key=lambda m: (m.dst_thread - s) % max(1, self.dst_threads),
-            )
-            for s, msgs in self._from.items()
-        }
-
-    def src_region(self, t: int):
-        return thread_region(self.shape, self.src_striping, self.src_threads, t)
-
-    def dst_region(self, t: int):
-        return thread_region(self.shape, self.dst_striping, self.dst_threads, t)
-
-    def src_region_bytes(self, t: int) -> int:
-        return region_elems(self.src_region(t)) * self.elem_bytes
-
-    def dst_region_bytes(self, t: int) -> int:
-        return region_elems(self.dst_region(t)) * self.elem_bytes
-
-    def send_order(self, t: int) -> list:
-        return self._send_order.get(t, [])
-
-
-def buffer_views(app: ApplicationModel) -> List[_BufView]:
-    """Striping views for every logical buffer of a model."""
-    return [_BufView(spec) for spec in logical_buffer_specs(app)]
 
 
 @dataclass
@@ -216,27 +152,15 @@ def predict_makespan(
     boards = platform.board_map(max(nprocs, 1))
     bindings = default_bindings()
     views = buffer_views(app)
-    in_bufs: Dict[int, List[_BufView]] = {}
-    out_bufs: Dict[int, List[_BufView]] = {}
+    in_bufs: Dict[int, List[RuntimeBuffer]] = {}
+    out_bufs: Dict[int, List[RuntimeBuffer]] = {}
     for view in views:
         out_bufs.setdefault(view.src_function, []).append(view)
         in_bufs.setdefault(view.dst_function, []).append(view)
-
     # Remote-traffic tables for the "remote" staging policies.
-    send_remote: Dict[Tuple[int, int], int] = {}
-    recv_remote: Dict[Tuple[int, int], int] = {}
-    for view in views:
-        send, recv = plan_remote_traffic(
-            view.plan,
-            lambda t, f=view.src_function: mapping.processor_of(f, t),
-            lambda t, f=view.dst_function: mapping.processor_of(f, t),
-        )
-        for t, nbytes in send.items():
-            send_remote[(view.buffer_id, t)] = nbytes
-        for t, nbytes in recv.items():
-            recv_remote[(view.buffer_id, t)] = nbytes
+    send_remote, recv_remote = remote_traffic_tables(views, mapping.processor_of)
 
-    def staged(view: _BufView, t: int, policy: str, receive: bool) -> int:
+    def staged(view: RuntimeBuffer, t: int, policy: str, receive: bool) -> int:
         if policy == "none":
             return 0
         if policy == "all":

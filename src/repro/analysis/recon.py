@@ -41,9 +41,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.model.application import ApplicationModel
 from ..core.model.mapping import Mapping, grow_mapping, shrink_mapping
+from ..core.runtime.buffers import buffer_views, moved_region_transfers
 from ..core.runtime.striping import plan_remote_traffic, plan_remote_traffic_delta
 from .comm import check_comm_schedule, derive_comm_schedule
-from .cost import buffer_views
 from .report import Finding
 
 __all__ = [
@@ -122,27 +122,21 @@ def _mirror_table(pre_active: Iterable[int], survivors: Set[int]) -> Dict[int, i
     return table
 
 
-def _region_moves(app, before: Mapping, after: Mapping) -> List[Transfer]:
-    """Ground-truth checkpoint moves: one per endpoint region whose owning
-    thread changed processor (the analysis-side mirror of the run-time's
-    ``moved_region_transfers``)."""
-    moves: List[Transfer] = []
-    for view in buffer_views(app):
-        for t in range(view.src_threads):
-            old = before.processor_of(view.src_function, t)
-            new = after.processor_of(view.src_function, t)
-            if old != new:
-                moves.append(
-                    (old, new, view.src_region_bytes(t), f"{view.name}.src[{t}]")
-                )
-        for t in range(view.dst_threads):
-            old = before.processor_of(view.dst_function, t)
-            new = after.processor_of(view.dst_function, t)
-            if old != new:
-                moves.append(
-                    (old, new, view.dst_region_bytes(t), f"{view.name}.dst[{t}]")
-                )
-    return moves
+def _shipments(app, before: Mapping, after: Mapping,
+               mirrors: Dict[int, int]) -> List[Transfer]:
+    """Ground-truth checkpoint shipments of a re-placement: the run-time's
+    ``moved_region_transfers`` of every buffer, each read from its old
+    owner's ring mirror when ``mirrors`` names one, minus the moves where
+    nothing travels."""
+    shipments: List[Transfer] = []
+    for buf in buffer_views(app):
+        for old, new, nbytes, label in moved_region_transfers(
+            buf, before.processor_of, after.processor_of
+        ):
+            old = mirrors.get(old, old)
+            if old != new and nbytes > 0:
+                shipments.append((old, new, nbytes, label))
+    return shipments
 
 
 def plan_shrink_transition(
@@ -161,17 +155,13 @@ def plan_shrink_transition(
     )
     after = shrink_mapping(mapping, sorted(survivor_set), balanced=balanced)
     mirrors = _mirror_table(pre_active, survivor_set)
-    transfers = [
-        (mirrors.get(old, old), new, nbytes, label)
-        for old, new, nbytes, label in _region_moves(app, mapping, after)
-    ]
     return MappingTransition(
         kind="shrink",
         before=mapping,
         after=after,
         active=survivor_set,
         moved=_moved_keys(app, mapping, after),
-        transfers=[t for t in transfers if t[0] != t[1] and t[2] > 0],
+        transfers=_shipments(app, mapping, after, mirrors),
         mirrors=mirrors,
     )
 
@@ -188,17 +178,13 @@ def plan_grow_transition(
     owners — no mirrors involved."""
     after = grow_mapping(current, original, replacements)
     active = set(current.processors_used()) | set(after.processors_used())
-    transfers = [
-        t for t in _region_moves(app, current, after)
-        if t[0] != t[1] and t[2] > 0
-    ]
     return MappingTransition(
         kind="grow",
         before=current,
         after=after,
         active=active,
         moved=_moved_keys(app, current, after),
-        transfers=transfers,
+        transfers=_shipments(app, current, after, {}),
     )
 
 
@@ -214,17 +200,13 @@ def plan_migration_transition(
     for (fid, t), proc in sorted(moves.items()):
         after.assign(fid, t, proc)
     active = set(mapping.processors_used()) | set(after.processors_used())
-    transfers = [
-        t for t in _region_moves(app, mapping, after)
-        if t[0] != t[1] and t[2] > 0
-    ]
     return MappingTransition(
         kind="migrate",
         before=mapping,
         after=after,
         active=active,
         moved=_moved_keys(app, mapping, after),
-        transfers=transfers,
+        transfers=_shipments(app, mapping, after, {}),
     )
 
 
@@ -298,13 +280,8 @@ def check_transition(
                     ))
 
     # RECON004/005 — the claimed checkpoint transfers vs ground truth.
-    mirrors = transition.mirrors
     required: Dict[Tuple[int, int, int, str], int] = {}
-    for old, new, nbytes, label in _region_moves(app, before, after):
-        old = mirrors.get(old, old)
-        if old == new or nbytes <= 0:
-            continue
-        key = (old, new, nbytes, label)
+    for key in _shipments(app, before, after, transition.mirrors):
         required[key] = required.get(key, 0) + 1
     claimed: Dict[Tuple[int, int, int, str], int] = {}
     for old, new, nbytes, label in transition.transfers:

@@ -18,41 +18,34 @@ from typing import Dict, List, Optional, Tuple
 from ...machine.platforms import PlatformSpec
 from ..model.application import ApplicationModel, FunctionInstance
 from ..model.mapping import Mapping
+from ..runtime.buffers import RuntimeBuffer, buffer_views
 from ..runtime.kernels import ThreadContext, default_bindings
 from ..runtime.phantom import PhantomArray
-from ..runtime.striping import message_plan, region_shape, thread_region
+from ..runtime.striping import region_shape
 
 __all__ = ["MappingObjective", "CostBreakdown", "estimate_thread_flops"]
 
 
-def _in_port_specs(app: ApplicationModel) -> Dict[int, List[tuple]]:
-    """function_id -> [(port, shape, dtype, striping, threads)] for IN sides."""
-    instances = {id(i.block): i for i in app.function_instances()}
-    out: Dict[int, List[tuple]] = {i.function_id: [] for i in instances.values()}
-    for _src, dst in app.flattened_arcs():
-        inst = instances[id(dst.block)]
-        out[inst.function_id].append(
-            (dst.name, dst.datatype.shape, dst.datatype.dtype, dst.striping, inst.threads)
-        )
-    return out
-
-
 def estimate_thread_flops(
     app: ApplicationModel, inst: FunctionInstance, thread: int,
-    in_specs: Optional[Dict[int, List[tuple]]] = None,
+    buffers: Optional[List[RuntimeBuffer]] = None,
 ) -> float:
-    """Analytic flops of one thread of one function instance."""
-    specs = (in_specs or _in_port_specs(app)).get(inst.function_id, [])
-    bindings = default_bindings()
-    binding = bindings.get(inst.kernel)
+    """Analytic flops of one thread of one function instance.
+
+    ``buffers`` is the model's :func:`buffer_views`; callers estimating many
+    threads pass it once instead of re-deriving it per call.
+    """
+    binding = default_bindings().get(inst.kernel)
     if binding is None:
         return 0.0
     inputs = {}
     in_regions = {}
-    for port, shape, dtype, striping, threads in specs:
-        region = thread_region(shape, striping, threads, thread)
-        in_regions[port] = region
-        inputs[port] = PhantomArray(region_shape(region), dtype)
+    for buf in buffers if buffers is not None else buffer_views(app):
+        if buf.dst_function != inst.function_id:
+            continue
+        region = buf.dst_region(thread)
+        in_regions[buf.dst_port] = region
+        inputs[buf.dst_port] = PhantomArray(region_shape(region), buf.dtype)
     ctx = ThreadContext(
         function_id=inst.function_id,
         name=inst.path,
@@ -116,29 +109,15 @@ class MappingObjective:
         self.w_latency = w_latency
         self.latency_constraint = latency_constraint
         self.instances = app.function_instances()
-        self._by_block = {id(i.block): i for i in self.instances}
-        self._in_specs = _in_port_specs(app)
+        # Logical buffers and their message plans (independent of the mapping).
+        self._buffers = buffer_views(app)
         # flops cache: (function_id, thread) -> flops
         self._flops: Dict[Tuple[int, int], float] = {}
         for inst in self.instances:
             for t in range(inst.threads):
                 self._flops[(inst.function_id, t)] = estimate_thread_flops(
-                    app, inst, t, self._in_specs
+                    app, inst, t, self._buffers
                 )
-        # Arc message plans (independent of the mapping).
-        self._plans = []
-        for src, dst in app.flattened_arcs():
-            s_inst = self._by_block[id(src.block)]
-            d_inst = self._by_block[id(dst.block)]
-            plan = message_plan(
-                src.datatype.shape,
-                src.datatype.elem_bytes,
-                src.striping,
-                s_inst.threads,
-                dst.striping,
-                d_inst.threads,
-            )
-            self._plans.append((s_inst, d_inst, plan))
 
     # -- objective terms ----------------------------------------------------
     def breakdown(self, mapping: Mapping) -> CostBreakdown:
@@ -152,10 +131,10 @@ class MappingObjective:
 
         comm = 0.0
         inter_board = 0.0
-        for s_inst, d_inst, plan in self._plans:
-            for msg in plan:
-                p_src = mapping.processor_of(s_inst.function_id, msg.src_thread)
-                p_dst = mapping.processor_of(d_inst.function_id, msg.dst_thread)
+        for buf in self._buffers:
+            for msg in buf.plan:
+                p_src = mapping.processor_of(buf.src_function, msg.src_thread)
+                p_dst = mapping.processor_of(buf.dst_function, msg.dst_thread)
                 if p_src != p_dst:
                     comm += msg.nbytes
                     if self.platform.board_of(p_src) != self.platform.board_of(p_dst):
@@ -188,11 +167,11 @@ class MappingObjective:
                 default=0.0,
             )
             total += stage_compute
-        for s_inst, d_inst, plan in self._plans:
+        for buf in self._buffers:
             per_dst: Dict[int, float] = {}
-            for msg in plan:
-                p_src = mapping.processor_of(s_inst.function_id, msg.src_thread)
-                p_dst = mapping.processor_of(d_inst.function_id, msg.dst_thread)
+            for msg in buf.plan:
+                p_src = mapping.processor_of(buf.src_function, msg.src_thread)
+                p_dst = mapping.processor_of(buf.dst_function, msg.dst_thread)
                 if p_src == p_dst:
                     t = self.cpu_specs[p_src].copy_time(msg.nbytes)
                 else:

@@ -16,8 +16,8 @@ from typing import Dict, List, Tuple
 from ...machine.platforms import PlatformSpec
 from ..model.application import ApplicationModel
 from ..model.mapping import Mapping
-from ..runtime.striping import message_plan
-from .objectives import estimate_thread_flops, _in_port_specs
+from ..runtime.buffers import buffer_views
+from .objectives import estimate_thread_flops
 
 __all__ = ["ScheduledTask", "ScheduledTransfer", "Schedule", "list_schedule"]
 
@@ -82,9 +82,7 @@ def list_schedule(
     transfer starts when its source thread finished and its link is free.
     """
     cpu = platform.cpu
-    in_specs = _in_port_specs(app)
-    instances = app.function_instances()
-    by_block = {id(i.block): i for i in instances}
+    buffers = buffer_views(app)
 
     proc_free: Dict[int, float] = {}
     link_free: Dict[Tuple[int, int], float] = {}
@@ -94,26 +92,15 @@ def list_schedule(
 
     schedule = Schedule()
 
-    # Pre-compute arc plans grouped by destination function.
-    arcs = []
-    for src, dst in app.flattened_arcs():
-        s_inst = by_block[id(src.block)]
-        d_inst = by_block[id(dst.block)]
-        plan = message_plan(
-            src.datatype.shape, src.datatype.elem_bytes,
-            src.striping, s_inst.threads, dst.striping, d_inst.threads,
-        )
-        arcs.append((s_inst, d_inst, f"{s_inst.path}.{src.name}->{d_inst.path}.{dst.name}", plan))
-
     for inst in app.topological_order():
         # 1) schedule inbound transfers for this function's threads
-        for s_inst, d_inst, name, plan in arcs:
-            if d_inst.function_id != inst.function_id:
+        for buf in buffers:
+            if buf.dst_function != inst.function_id:
                 continue
-            for msg in plan:
-                src_key = (s_inst.function_id, msg.src_thread)
+            for msg in buf.plan:
+                src_key = (buf.src_function, msg.src_thread)
                 p_src = mapping.processor_of(*src_key)
-                p_dst = mapping.processor_of(d_inst.function_id, msg.dst_thread)
+                p_dst = mapping.processor_of(buf.dst_function, msg.dst_thread)
                 ready = thread_finish.get(src_key, 0.0)
                 if p_src == p_dst:
                     duration = cpu.copy_time(msg.nbytes)
@@ -128,16 +115,16 @@ def list_schedule(
                     finish = start + duration
                     link_free[lk] = finish
                 schedule.transfers.append(
-                    ScheduledTransfer(name, p_src, p_dst, msg.nbytes, start, finish)
+                    ScheduledTransfer(buf.name, p_src, p_dst, msg.nbytes, start, finish)
                 )
-                dst_key = (d_inst.function_id, msg.dst_thread)
+                dst_key = (buf.dst_function, msg.dst_thread)
                 inbound_ready[dst_key] = max(inbound_ready.get(dst_key, 0.0), finish)
 
         # 2) schedule the function's threads
         for t in range(inst.threads):
             proc = mapping.processor_of(inst.function_id, t)
             duration = cpu.compute_time(
-                estimate_thread_flops(app, inst, t, in_specs)
+                estimate_thread_flops(app, inst, t, buffers)
             )
             start = max(inbound_ready.get((inst.function_id, t), 0.0),
                         proc_free.get(proc, 0.0))

@@ -26,12 +26,17 @@ from ...perf.cache import cache_scope
 from ...perf.registry import REGISTRY
 from ..codegen.generator import GlueModule
 from ..model.mapping import Mapping, grow_mapping, shrink_mapping
-from .buffers import RuntimeBuffer, moved_region_transfers
+from .buffers import (
+    RuntimeBuffer,
+    endpoint_footprint,
+    moved_region_transfers,
+    remote_traffic_tables,
+)
 from .config import DEFAULT_CONFIG, RuntimeConfig
 from .kernels import KernelBinding, KernelError, ThreadContext, default_bindings
 from .policy import FAIL_FAST, FaultPolicy, TransportError
 from .probes import ProbeEvent, Trace
-from .striping import plan_remote_traffic, plan_remote_traffic_delta
+from .striping import plan_remote_traffic_delta
 from .transfer import Shipment, Transfer
 
 __all__ = ["SageRuntime", "RunResult", "RuntimeError_"]
@@ -216,11 +221,11 @@ class SageRuntime:
             self._check_memory_footprint()
 
         # Per-(buffer, thread) remote traffic (bytes crossing processors),
-        # used by the "remote" staging policies.  Recomputed after a shrink
-        # re-places threads.
-        self._buf_send_remote: Dict[Tuple[int, int], int] = {}
-        self._buf_recv_remote: Dict[Tuple[int, int], int] = {}
-        self._compute_remote_tables()
+        # used by the "remote" staging policies.  Patched in place by
+        # _update_remote_tables after a shrink, grow or migration.
+        self._buf_send_remote, self._buf_recv_remote = remote_traffic_tables(
+            self.buffers, self.processor_of
+        )
 
     # -- setup helpers ---------------------------------------------------------
     def _identify_endpoints(self) -> None:
@@ -237,35 +242,12 @@ class SageRuntime:
             return override
         return self.glue.processor_of(function_id, thread)
 
-    def _compute_remote_tables(self) -> None:
-        """(Re)build the per-(buffer, thread) cross-processor byte tables."""
-        self._buf_send_remote = {}
-        self._buf_recv_remote = {}
-        for buf in self.buffers:
-            send, recv = plan_remote_traffic(
-                buf.plan,
-                lambda t, f=buf.src_function: self.processor_of(f, t),
-                lambda t, f=buf.dst_function: self.processor_of(f, t),
-            )
-            for t, nbytes in send.items():
-                self._buf_send_remote[(buf.buffer_id, t)] = nbytes
-            for t, nbytes in recv.items():
-                self._buf_recv_remote[(buf.buffer_id, t)] = nbytes
-
     def memory_footprint(self) -> Dict[int, int]:
-        """Per-processor physical-buffer bytes (each endpoint thread holds its
-        region on both sides of every buffer, plus one staging copy of the
-        largest logical buffer for the unique-buffer scheme)."""
+        """Per-processor physical-buffer bytes at the current placement:
+        :func:`~repro.core.runtime.buffers.endpoint_footprint`, with an
+        explicit 0 for every node holding no endpoint region."""
         footprint: Dict[int, int] = {node.index: 0 for node in self.cluster.nodes}
-        for buf in self.buffers:
-            for t in range(buf.src_threads):
-                footprint[self.processor_of(buf.src_function, t)] += (
-                    buf.src_region_bytes(t)
-                )
-            for t in range(buf.dst_threads):
-                footprint[self.processor_of(buf.dst_function, t)] += (
-                    buf.dst_region_bytes(t)
-                )
+        footprint.update(endpoint_footprint(self.buffers, self.processor_of))
         return footprint
 
     def _check_memory_footprint(self) -> None:
@@ -829,8 +811,8 @@ class SageRuntime:
         Only buffers with at least one moved endpoint thread are touched,
         and within each, :func:`plan_remote_traffic_delta` revisits only the
         messages a moved thread sends or receives.  The result is
-        byte-identical to :meth:`_compute_remote_tables` at the new
-        placement — the golden-trace and bitwise tests lean on that.
+        byte-identical to :func:`~repro.core.runtime.buffers.remote_traffic_tables`
+        at the new placement — the golden-trace and bitwise tests lean on that.
         """
         moved = set(moved_keys)
         for buf in self.buffers:

@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..apps import benchmark_mapping, corner_turn_model, fft2d_model
 from ..core.codegen import generate_glue
 from ..core.runtime import DEFAULT_CONFIG, SageRuntime
+from ..core.runtime.buffers import buffer_views
 from ..faults import FaultPlan, FaultPolicy
 from ..machine import Environment, SimCluster, get_platform
 from ..mpi.detector import FailureDetector, HeartbeatConfig
@@ -176,7 +177,8 @@ def run_elastic_recovery(
         app = builder(size, nodes)
         glue = generate_glue(app, benchmark_mapping(app, nodes),
                              num_processors=nodes)
-        total_plan_msgs = _full_plan_messages(glue)
+        # Messages one from-scratch re-plan of every buffer would visit.
+        total_plan_msgs = sum(len(buf.plan) for buf in buffer_views(app))
 
         def run_once(plan: Optional[FaultPlan], policy: FaultPolicy):
             env = Environment()
@@ -273,14 +275,6 @@ def run_elastic_recovery(
                            * total_plan_msgs),
             ))
     return points
-
-
-def _full_plan_messages(glue) -> int:
-    """Messages one from-scratch re-plan of every buffer would visit."""
-    from ..core.runtime.buffers import RuntimeBuffer
-
-    return sum(len(RuntimeBuffer(spec, execute_data=False).plan)
-               for spec in glue.logical_buffers)
 
 
 # -- formatting -------------------------------------------------------------

@@ -283,10 +283,15 @@ def check_determinism(
 
     ga, gb = grants(first), grants(replay)
     if ga != gb:
+        # When one list is a strict prefix of the other, they first differ
+        # where the shorter one ends.
+        index = next(
+            (i for i, (x, y) in enumerate(zip(ga, gb)) if x != y),
+            min(len(ga), len(gb)),
+        )
         out.append(
             "determinism: admission order / lease assignments diverged "
-            f"(first difference at index "
-            f"{next(i for i, (x, y) in enumerate(zip(ga, gb)) if x != y) if gb and ga else 0})"
+            f"(first difference at index {index})"
         )
     return out
 

@@ -150,6 +150,24 @@ class TestInvariantCheckers:
         # replay claims seed 6: node tie-breaks (and so the stream) differ
         assert check_determinism(svc, workload, nodes=8, seed=6)
 
+    def test_determinism_checker_reports_a_grant_list_that_is_a_prefix(self):
+        from repro.service.soak import _build_service, _drive
+
+        workload = generate_workload(12, 5)
+        svc = _build_service(8, 5)
+        _drive(svc, workload)
+        # The replay drops the last job, so its lease grants are a strict
+        # prefix of the run's: they first differ where the replay's end.
+        replay = _build_service(8, 5)
+        _drive(replay, workload[:11])
+        granted = [m for m in replay.bus.history_for("scheduler.lease")
+                   if m.kind == "granted"]
+        violations = check_determinism(svc, workload[:11], 8, 5)
+        assert (
+            "determinism: admission order / lease assignments diverged "
+            f"(first difference at index {len(granted)})"
+        ) in violations
+
     def test_telemetry_checker_catches_cross_job_contamination(self):
         from repro.service.soak import _build_service, _drive
 
