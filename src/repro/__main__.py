@@ -11,14 +11,14 @@ run          load a design document and execute it on a simulated platform
 chaos        randomized chaos soak: seeded fault schedules x fault policies
 serve        multi-job service over a shared cluster; --soak runs the harness
 submit       append one job spec to a batch file for `serve --batch`
-table1 / crossvendor / ablations / atot-study / period-latency
-fault-tolerance / reconfiguration / elasticity / gray-failure / service-soak
-             the paper-artifact experiments (see repro.experiments)
+<study>      one paper artifact per reports/*.txt file (table1, knobs, atot,
+             ..., service-soak: experiments.generate_report.STUDIES)
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -277,30 +277,19 @@ def cmd_run(args) -> int:
     return 0
 
 
-_EXPERIMENTS = {
-    "table1": "table1",
-    "crossvendor": "crossvendor",
-    "ablations": "ablations",
-    "atot-study": "atot_study",
-    "period-latency": "period_latency",
-    "code-size": "code_size",
-    "fault-tolerance": "fault_tolerance",
-    "reconfiguration": "reconfiguration",
-    "elasticity": "elasticity",
-    "gray-failure": "gray_failure",
-    "service-soak": "service_soak",
-}
+def cmd_study(study, args) -> int:
+    """Print one study's report; ``-o`` also writes it.  Exit 1 if the
+    study is a gate and a check failed."""
+    text, ok = study.run(quick=args.quick)
+    print(text)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text + "\n")
+    return 0 if ok else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Experiment subcommands forward their whole tail to the experiment's own
-    # argparse (argparse.REMAINDER would swallow leading options otherwise).
-    if argv and argv[0] in _EXPERIMENTS:
-        import importlib
-
-        module = importlib.import_module(f"repro.experiments.{_EXPERIMENTS[argv[0]]}")
-        return module.main(argv[1:])
     if argv and argv[0] == "chaos":
         from .chaos.soak import main as chaos_main
 
@@ -381,8 +370,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub.add_parser("chaos", help="randomized chaos soak (repro.chaos.soak)")
     sub.add_parser("serve", help="multi-job service / soak harness (repro.service)")
     sub.add_parser("submit", help="append a job spec to a service batch file")
-    for name, module in _EXPERIMENTS.items():
-        sub.add_parser(name, help=f"experiment: repro.experiments.{module}")
+    from .experiments.generate_report import STUDIES
+
+    for study in STUDIES:
+        exp = sub.add_parser(study.name, help=f"paper artifact: reports/{study.report}")
+        exp.add_argument("--quick", action="store_true",
+                         help="the reduced protocol (seconds, not minutes)")
+        exp.add_argument("-o", "--output", help="also write the report to this file")
+        exp.set_defaults(fn=functools.partial(cmd_study, study))
 
     args = parser.parse_args(argv)
     try:

@@ -31,38 +31,15 @@ from .reconfiguration import (
 )
 
 __all__ = [
-    "APP_BUILDERS",
-    "FULL_PROTOCOL",
-    "QUICK_PROTOCOL",
-    "Measurement",
-    "Protocol",
-    "measure_hand",
-    "measure_sage",
-    "Table1Row",
-    "format_table1",
-    "run_table1",
-    "CrossVendorResult",
-    "format_crossvendor",
-    "run_crossvendor",
-    "knob_study",
-    "optimized_glue_study",
-    "two_node_study",
-    "format_atot_study",
-    "radar_chain_model",
-    "run_atot_study",
-    "format_period_latency",
-    "run_period_latency",
-    "count_sloc",
-    "format_code_size",
-    "run_code_size",
-    "FaultPoint",
-    "format_fault_tolerance",
-    "run_fault_tolerance",
-    "DetectionPoint",
-    "FalsePositivePoint",
-    "ShrinkPoint",
-    "format_reconfiguration",
-    "run_detection_latency",
-    "run_false_positives",
-    "run_shrink_recovery",
+    "APP_BUILDERS", "FULL_PROTOCOL", "QUICK_PROTOCOL", "Measurement", "Protocol",
+    "measure_hand", "measure_sage",
+    "Table1Row", "format_table1", "run_table1",
+    "CrossVendorResult", "format_crossvendor", "run_crossvendor",
+    "knob_study", "optimized_glue_study", "two_node_study",
+    "format_atot_study", "radar_chain_model", "run_atot_study",
+    "format_period_latency", "run_period_latency",
+    "count_sloc", "format_code_size", "run_code_size",
+    "FaultPoint", "format_fault_tolerance", "run_fault_tolerance",
+    "DetectionPoint", "FalsePositivePoint", "ShrinkPoint", "format_reconfiguration",
+    "run_detection_latency", "run_false_positives", "run_shrink_recovery",
 ]

@@ -13,21 +13,21 @@
   copies, striping bookkeeping, kernel-call efficiency — by disabling each
   in turn (the design-choice ablation DESIGN.md calls out).
 
-Run: ``python -m repro.experiments.ablations {two-node,optimized-glue,knobs}``
+Run: ``python -m repro {two-node,optimized-glue,knobs} [--quick] [-o FILE]``
 """
 
 from __future__ import annotations
 
 import dataclasses
 import statistics
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.runtime import DEFAULT_CONFIG
 from ..machine import get_platform
-from .runner import FULL_PROTOCOL, QUICK_PROTOCOL, Protocol, measure_hand, measure_sage
+from .runner import QUICK_PROTOCOL, Protocol, measure_hand, measure_sage
 from .table1 import APPS, NODE_COUNTS
 
-__all__ = ["two_node_study", "optimized_glue_study", "knob_study", "main"]
+__all__ = ["two_node_study", "optimized_glue_study", "knob_study"]
 
 
 def two_node_study(
@@ -159,24 +159,3 @@ def format_knobs(rows: List[dict], app: str, nodes: int, size: int) -> str:
         )
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("study", choices=["two-node", "optimized-glue", "knobs"])
-    parser.add_argument("--quick", action="store_true")
-    args = parser.parse_args(argv)
-    protocol = QUICK_PROTOCOL if args.quick else FULL_PROTOCOL
-    if args.study == "two-node":
-        print(format_two_node(two_node_study(protocol)))
-    elif args.study == "optimized-glue":
-        print(format_optimized(optimized_glue_study(protocol)))
-    else:
-        rows = knob_study(protocol)
-        print(format_knobs(rows, "fft2d", 4, 1024))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -8,13 +8,13 @@ naive round-robin layout vs uniformly random placement, scored both by the
 analytic objective and by actually running the mapped application through
 the simulator.
 
-Run: ``python -m repro.experiments.atot_study [--quick]``
+Run: ``python -m repro atot [--quick] [-o FILE]``
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.atot import GaConfig, MappingObjective, list_schedule, optimize_mapping, random_mapping
 from ..core.codegen import generate_glue
@@ -26,10 +26,10 @@ from ..core.model import (
     round_robin_mapping,
     striped,
 )
-from ..core.runtime import DEFAULT_CONFIG, SageRuntime
-from ..machine import Environment, SimCluster, get_platform
+from ..machine import get_platform
+from .runner import run_glue
 
-__all__ = ["radar_chain_model", "run_atot_study", "format_atot_study", "main"]
+__all__ = ["radar_chain_model", "run_atot_study", "format_atot_study"]
 
 
 def radar_chain_model(n: int = 256, threads: int = 4) -> ApplicationModel:
@@ -77,11 +77,7 @@ class AtotStudyRow:
 
 def _simulate(app, mapping: Mapping, nodes: int, platform) -> float:
     glue = generate_glue(app, mapping, num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, platform, nodes)
-    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only())
-    result = runtime.run(iterations=3)
-    return result.mean_latency
+    return run_glue(glue, platform, nodes, iterations=3).mean_latency
 
 
 def run_atot_study(
@@ -135,18 +131,3 @@ def format_atot_study(rows: List[AtotStudyRow]) -> str:
         )
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--nodes", type=int, default=4)
-    args = parser.parse_args(argv)
-    generations = 10 if args.quick else 40
-    print(format_atot_study(run_atot_study(nodes=args.nodes, generations=generations)))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -13,20 +13,20 @@ We compare the application-specific source a developer is responsible for:
   function standing in for the graphical capture) — the generated glue is
   reported too but is *not* developer-maintained code.
 
-Run: ``python -m repro.experiments.code_size``
+Run: ``python -m repro code-size [-o FILE]``
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..apps import corner_turn_model, corner_turn_rank, fft2d_model, fft2d_rank
 from ..apps.models import benchmark_mapping
 from ..core.codegen import generate_glue
 
-__all__ = ["CodeSizeRow", "count_sloc", "run_code_size", "format_code_size", "main"]
+__all__ = ["CodeSizeRow", "count_sloc", "run_code_size", "format_code_size"]
 
 
 def count_sloc(obj_or_text) -> int:
@@ -110,11 +110,3 @@ def format_code_size(rows: List[CodeSizeRow]) -> str:
     )
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    print(format_code_size(run_code_size()))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -11,18 +11,18 @@ over SIGI); the compute-bound 2D FFT is far less fabric-sensitive; all
 curves fall with node count, with the communication-bound corner turn
 scaling sub-linearly on the shared-medium machines.
 
-Run: ``python -m repro.experiments.crossvendor [--quick]``
+Run: ``python -m repro crossvendor [--quick] [-o FILE]``
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..machine import get_platform
-from .runner import FULL_PROTOCOL, QUICK_PROTOCOL, Protocol, measure_hand
+from .runner import QUICK_PROTOCOL, Protocol, measure_hand
 
-__all__ = ["CrossVendorResult", "run_crossvendor", "format_crossvendor", "main",
+__all__ = ["CrossVendorResult", "run_crossvendor", "format_crossvendor",
            "VENDORS", "NODE_COUNTS"]
 
 VENDORS = ("mercury", "cspi", "sky", "sigi")
@@ -95,18 +95,3 @@ def format_crossvendor(result: CrossVendorResult) -> str:
         lines.append("")
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--size", type=int, default=1024)
-    args = parser.parse_args(argv)
-    protocol = QUICK_PROTOCOL if args.quick else FULL_PROTOCOL
-    print(format_crossvendor(run_crossvendor(protocol, size=args.size)))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -21,25 +21,30 @@ run-time's ``grow_restripe`` policy:
   delta re-plan actually revisited versus what a from-scratch recompute
   would have visited (``striping.replan_*`` counters).
 
-Run: ``python -m repro elasticity [--quick] [--output reports/...]``.
+Run: ``python -m repro elasticity [--quick] [-o FILE]``.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..apps import benchmark_mapping, corner_turn_model, fft2d_model
+from ..apps import benchmark_mapping
 from ..core.codegen import generate_glue
-from ..core.runtime import DEFAULT_CONFIG, SageRuntime
 from ..core.runtime.buffers import buffer_views
 from ..faults import FaultPlan, FaultPolicy
-from ..machine import Environment, SimCluster, get_platform
-from ..mpi.detector import FailureDetector, HeartbeatConfig
+from ..machine import get_platform
+from ..mpi.detector import HeartbeatConfig
 from ..perf.registry import REGISTRY
+from .runner import (
+    APP_BUILDERS,
+    mean_detect_ms,
+    run_glue,
+    start_detector,
+    steady_period,
+)
 
 __all__ = [
     "JoinPoint",
@@ -47,13 +52,7 @@ __all__ = [
     "run_join_latency",
     "run_elastic_recovery",
     "format_elasticity",
-    "main",
 ]
-
-_APPS: Dict[str, Callable] = {
-    "fft2d": fft2d_model,
-    "corner_turn": corner_turn_model,
-}
 
 _SECONDS = re.compile(r"in ([0-9.eE+-]+)s")
 
@@ -116,10 +115,8 @@ def run_join_latency(
                     plan.message_loss(loss)
                 plan.crash_node(nodes - 1, at=crash_at, permanent=True)
                 plan.join_node(nodes - 1, at=rejoin_at)
-                env = Environment()
-                cluster = SimCluster.from_platform(env, platform, nodes,
-                                                   fault_plan=plan)
-                detector = FailureDetector(cluster, config).start()
+                detector = start_detector(platform, nodes, config, plan)
+                env = detector.env
                 env.run(until=detector.death_event(nodes - 1))
                 # Let the NodeJoin power-on fire, then request admission.
                 env.run(until=rejoin_at + period / 100.0)
@@ -144,20 +141,14 @@ def run_join_latency(
 
 def _steady_rate(sink_times: Sequence[float], after: float) -> float:
     """Data sets per second from the sinks completing strictly after
-    ``after`` (needs two completions to define an interval)."""
-    times = sorted(t for t in sink_times if t > after)
-    if len(times) < 2 or times[-1] <= times[0]:
-        return math.nan
-    return (len(times) - 1) / (times[-1] - times[0])
+    ``after``."""
+    return 1.0 / steady_period(sorted(t for t in sink_times if t > after))
 
 
-def _mean_probe_seconds(events) -> float:
-    vals: List[float] = []
-    for ev in events:
-        m = _SECONDS.search(ev.detail)
-        if m:
-            vals.append(float(m.group(1)))
-    return sum(vals) / len(vals) if vals else math.nan
+def _probe_seconds(events) -> List[float]:
+    """The ``in <seconds>s`` durations the join and migrate probes record."""
+    found = (_SECONDS.search(ev.detail) for ev in events)
+    return [float(m.group(1)) for m in found if m]
 
 
 def run_elastic_recovery(
@@ -170,38 +161,32 @@ def run_elastic_recovery(
 ) -> List[ElasticPoint]:
     """Kill 1..k nodes permanently, power replacements back on, re-grow."""
     platform = get_platform("cspi")
-    config = DEFAULT_CONFIG.timing_only()
     points: List[ElasticPoint] = []
-    for app_name in (apps or _APPS):
-        builder = _APPS[app_name]
-        app = builder(size, nodes)
+    for app_name in (apps or APP_BUILDERS):
+        app = APP_BUILDERS[app_name][0](size, nodes)
         glue = generate_glue(app, benchmark_mapping(app, nodes),
                              num_processors=nodes)
         # Messages one from-scratch re-plan of every buffer would visit.
         total_plan_msgs = sum(len(buf.plan) for buf in buffer_views(app))
 
-        def run_once(plan: Optional[FaultPlan], policy: FaultPolicy):
-            env = Environment()
-            cluster = SimCluster.from_platform(env, platform, nodes,
-                                               fault_plan=plan)
-            runtime = SageRuntime(glue, cluster, config=config,
-                                  fault_policy=policy)
-            return runtime.run(iterations=iterations)
-
         # Same-policy fault-free baseline so detector overheads cancel out
         # of the throughput comparison.
-        base = run_once(None, FaultPolicy.grow_restripe())
+        base = run_glue(glue, platform, nodes, iterations,
+                        policy=FaultPolicy.grow_restripe())
         base_rate = _steady_rate(base.sink_times, -1.0)
 
-        for k in replace_counts:
-            crash_plan = FaultPlan(seed=seed)
+        def kills(k: int) -> FaultPlan:
+            plan = FaultPlan(seed=seed)
             for i in range(k):
-                crash_plan.crash_node(nodes - 1 - i,
-                                      at=base.makespan * (0.22 + 0.12 * i),
-                                      permanent=True)
+                plan.crash_node(nodes - 1 - i,
+                                at=base.makespan * (0.22 + 0.12 * i),
+                                permanent=True)
+            return plan
+
+        for k in replace_counts:
             # Degraded reference: the same kills, never re-grown.
-            degraded = run_once(
-                crash_plan,
+            degraded = run_glue(
+                glue, platform, nodes, iterations, kills(k),
                 FaultPolicy.shrink_restripe(max_restarts=k + 2))
             restripes = degraded.trace.by_kind("restripe")
             degraded_rate = _steady_rate(
@@ -209,18 +194,15 @@ def run_elastic_recovery(
                 max(ev.time for ev in restripes) if restripes else -1.0)
 
             # Elastic run: replacements power on after the losses.
-            plan = FaultPlan(seed=seed)
-            for i in range(k):
-                plan.crash_node(nodes - 1 - i,
-                                at=base.makespan * (0.22 + 0.12 * i),
-                                permanent=True)
+            plan = kills(k)
             for i in range(k):
                 plan.join_node(nodes - 1 - i,
                                at=base.makespan * (0.62 + 0.05 * i))
             before = dict(REGISTRY.snapshot()["counters"])
             try:
-                result = run_once(
-                    plan, FaultPolicy.grow_restripe(max_restarts=k + 2))
+                result = run_glue(
+                    glue, platform, nodes, iterations, plan,
+                    FaultPolicy.grow_restripe(max_restarts=k + 2))
             except Exception:
                 points.append(ElasticPoint(
                     app=app_name, nodes=nodes, replaced=k, completed=False,
@@ -232,24 +214,10 @@ def run_elastic_recovery(
                 ))
                 continue
             after = dict(REGISTRY.snapshot()["counters"])
-
-            def counted(name: str) -> int:
-                return after.get(name, 0) - before.get(name, 0)
-
-            crash_times = {
-                ev.processor: ev.time
-                for ev in result.trace.by_kind("fault_injected")
-                if "node_crash" in ev.detail
-            }
-            detect = [ev.time - crash_times[ev.processor]
-                      for ev in result.trace.by_kind("declare_dead")
-                      if ev.processor in crash_times]
+            delta = "striping.replan_delta_messages"
             migrates = result.trace.by_kind("migrate")
-            pauses: List[float] = []
-            for ev in migrates:
-                m = _SECONDS.search(ev.detail)
-                if m:
-                    pauses.append(float(m.group(1)))
+            joins = _probe_seconds(result.trace.by_kind("join"))
+            pauses = _probe_seconds(migrates)
             recovered_rate = _steady_rate(
                 result.sink_times,
                 max(ev.time for ev in migrates) if migrates else -1.0)
@@ -259,17 +227,16 @@ def run_elastic_recovery(
             points.append(ElasticPoint(
                 app=app_name, nodes=nodes, replaced=k, completed=True,
                 makespan_ms=result.makespan * 1e3,
-                detect_ms=(sum(detect) / len(detect) * 1e3
-                           if detect else math.nan),
-                join_ms=_mean_probe_seconds(
-                    result.trace.by_kind("join")) * 1e3,
+                detect_ms=mean_detect_ms(result.trace),
+                join_ms=(sum(joins) / len(joins) * 1e3
+                         if joins else math.nan),
                 pause_ms=sum(pauses) * 1e3 if pauses else math.nan,
                 migrated_bytes=sum(ev.nbytes for ev in migrates),
                 base_rate=base_rate,
                 degraded_rate=degraded_rate,
                 recovered_rate=recovered_rate,
                 recovery_pct=recovery,
-                delta_msgs=counted("striping.replan_delta_messages"),
+                delta_msgs=after.get(delta, 0) - before.get(delta, 0),
                 full_msgs=((len(result.trace.by_kind("shrink"))
                             + len(result.trace.by_kind("grow")))
                            * total_plan_msgs),
@@ -340,38 +307,3 @@ def format_elasticity(
         ]
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro elasticity",
-        description=__doc__.splitlines()[0],
-    )
-    parser.add_argument("--nodes", type=int, default=8)
-    parser.add_argument("--size", type=int, default=32)
-    parser.add_argument("--iterations", type=int, default=8)
-    parser.add_argument("--quick", action="store_true",
-                        help="one app, one period, a single replace count")
-    parser.add_argument("-o", "--output",
-                        help="also write the tables to this file")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        joins = run_join_latency(periods=(1e-4,), nodes=args.nodes,
-                                 seeds=(51,), lossy=False)
-        elastic = run_elastic_recovery(
-            nodes=args.nodes, size=args.size, iterations=args.iterations,
-            replace_counts=(1,), apps=("fft2d",))
-    else:
-        joins = run_join_latency(nodes=args.nodes)
-        elastic = run_elastic_recovery(
-            nodes=args.nodes, size=args.size, iterations=args.iterations)
-    text = format_elasticity(joins, elastic)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -13,28 +13,22 @@ The point of the table is the contrast: ``fail_fast`` dies on the first
 lost message, while ``retry`` absorbs transient loss for a small overhead
 and ``checkpoint_restart`` survives a node crash outright.
 
-Run: ``python -m repro fault-tolerance [--quick] [--output reports/...]``.
+Run: ``python -m repro fault-tolerance [--quick] [-o FILE]``.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from ..apps import benchmark_mapping, corner_turn_model, fft2d_model
+from ..apps import benchmark_mapping
 from ..core.codegen import generate_glue
-from ..core.runtime import DEFAULT_CONFIG, SageRuntime
 from ..faults import FaultPlan, FaultPolicy, RECOVERABLE_FAULTS
-from ..machine import Environment, SimCluster, get_platform
+from ..machine import get_platform
+from .runner import APP_BUILDERS, run_glue
 
-__all__ = ["FaultPoint", "run_fault_tolerance", "format_fault_tolerance", "main"]
-
-_APPS: Dict[str, Callable] = {
-    "corner_turn": corner_turn_model,
-    "fft2d": fft2d_model,
-}
+__all__ = ["FaultPoint", "run_fault_tolerance", "format_fault_tolerance"]
 
 
 @dataclass
@@ -70,22 +64,12 @@ def run_fault_tolerance(
 ) -> List[FaultPoint]:
     """Measure every (app, scenario, policy) combination deterministically."""
     platform = get_platform("cspi")
-    config = DEFAULT_CONFIG.timing_only()
     points: List[FaultPoint] = []
 
-    for app_name, builder in _APPS.items():
-        app = builder(size, nodes)
+    for app_name in ("corner_turn", "fft2d"):
+        app = APP_BUILDERS[app_name][0](size, nodes)
         glue = generate_glue(app, benchmark_mapping(app, nodes),
                              num_processors=nodes)
-
-        def run_once(plan: Optional[FaultPlan],
-                     policy: Optional[FaultPolicy]):
-            env = Environment()
-            cluster = SimCluster.from_platform(env, platform, nodes,
-                                               fault_plan=plan)
-            runtime = SageRuntime(glue, cluster, config=config,
-                                  fault_policy=policy)
-            return runtime.run(iterations=iterations)
 
         def measure(scenario: str, policy: Optional[FaultPolicy],
                     make_plan: Callable[[int], Optional[FaultPlan]],
@@ -94,7 +78,8 @@ def run_fault_tolerance(
             retries = restores = 0
             for seed in seeds:
                 try:
-                    result = run_once(make_plan(seed), policy)
+                    result = run_glue(glue, platform, nodes, iterations,
+                                      make_plan(seed), policy)
                 except RECOVERABLE_FAULTS:
                     continue  # run died: counts against the completion rate
                 makespans.append(result.makespan * 1e3)
@@ -115,7 +100,7 @@ def run_fault_tolerance(
             )
 
         # Fault-free baseline (identical for every seed: the plan is empty).
-        base = run_once(None, None)
+        base = run_glue(glue, platform, nodes, iterations)
         baseline_ms = base.makespan * 1e3
         points.append(FaultPoint(
             app=app_name, scenario="fault-free", policy="fail_fast",
@@ -180,34 +165,3 @@ def format_fault_tolerance(points: List[FaultPoint]) -> str:
     )
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro fault-tolerance",
-        description=__doc__.splitlines()[0],
-    )
-    parser.add_argument("--nodes", type=int, default=4)
-    parser.add_argument("--size", type=int, default=64)
-    parser.add_argument("--iterations", type=int, default=5)
-    parser.add_argument("--quick", action="store_true",
-                        help="2 seeds and a single loss rate")
-    parser.add_argument("-o", "--output",
-                        help="also write the table to this file")
-    args = parser.parse_args(argv)
-
-    kwargs = {}
-    if args.quick:
-        kwargs = {"seeds": (11, 12), "loss_rates": (0.05,)}
-    text = format_fault_tolerance(run_fault_tolerance(
-        nodes=args.nodes, size=args.size, iterations=args.iterations,
-        **kwargs,
-    ))
-    print(text)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

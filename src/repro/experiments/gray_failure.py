@@ -26,33 +26,30 @@ run-time's ``migrate_stragglers`` policy:
   earned back on recovery).  Acceptance: recovered throughput >= 80% of
   clean with one limping node of 8.
 
-Run: ``python -m repro gray-failure [--quick] [-o reports/gray_failure.txt]``.
+Run: ``python -m repro gray-failure [--quick] [-o FILE]``.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
-import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..apps import benchmark_mapping, fft2d_slack_model
 from ..core.codegen import generate_glue
-from ..core.runtime import DEFAULT_CONFIG, SageRuntime
 from ..faults import FaultPlan, FaultPolicy
-from ..machine import Environment, SimCluster, get_platform
-from ..mpi.detector import FailureDetector, HeartbeatConfig
+from ..machine import get_platform
+from ..mpi.detector import HeartbeatConfig
+from .runner import run_glue, start_detector, steady_period
 
 __all__ = [
     "DetectionPoint",
     "TimeoutPoint",
     "ThroughputPoint",
-    "run_detection_latency",
+    "run_slow_detection_latency",
     "run_timeout_false_positives",
     "run_straggler_throughput",
     "format_gray_failure",
-    "main",
 ]
 
 
@@ -91,7 +88,7 @@ class ThroughputPoint:
 
 # -- slow-node detection latency ---------------------------------------------
 
-def run_detection_latency(
+def run_slow_detection_latency(
     factors: Sequence[float] = (0.1, 0.25, 0.4),
     seeds: Sequence[int] = (71, 72, 73),
     nodes: int = 8,
@@ -107,11 +104,8 @@ def run_detection_latency(
             target = nodes - 1 - (seed % (nodes - 1))
             plan = FaultPlan(seed=seed).slow_node(target, at=slow_at,
                                                   factor=factor)
-            env = Environment()
-            cluster = SimCluster.from_platform(env, platform, nodes,
-                                               fault_plan=plan)
-            detector = FailureDetector(cluster, config).start()
-            env.run(until=slow_at + 400 * period)
+            detector = start_detector(platform, nodes, config, plan)
+            detector.env.run(until=slow_at + 400 * period)
             detector.stop()
             suspected = [ev for ev in detector.log
                          if ev.kind == "suspect_slow" and ev.target == target]
@@ -136,13 +130,10 @@ def _count_false_dead(
     horizon_periods: int,
     adaptive: bool,
 ) -> int:
-    platform = get_platform("cspi")
     config = HeartbeatConfig(period=period, adaptive=adaptive)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, platform, nodes,
-                                       fault_plan=plan_builder(seed))
-    detector = FailureDetector(cluster, config).start()
-    env.run(until=horizon_periods * period)
+    detector = start_detector(get_platform("cspi"), nodes, config,
+                              plan_builder(seed))
+    detector.env.run(until=horizon_periods * period)
     detector.stop()
     # No node ever dies in these scenarios: every declaration is false.
     return sum(1 for ev in detector.log if ev.kind == "declare_dead")
@@ -194,14 +185,6 @@ def run_timeout_false_positives(
 
 # -- straggler-migration throughput ------------------------------------------
 
-def _steady_period(sink_times: Sequence[float], skip: int) -> float:
-    """Steady-state seconds per data set over the tail of the run."""
-    times = list(sink_times)[skip:]
-    if len(times) < 2:
-        return math.nan
-    return (times[-1] - times[0]) / (len(times) - 1)
-
-
 def run_straggler_throughput(
     nodes: int = 8,
     n: int = 56,
@@ -213,18 +196,9 @@ def run_straggler_throughput(
 ) -> List[ThroughputPoint]:
     """Clean vs limping vs limping-with-migration steady-state throughput."""
     platform = get_platform("cspi")
-    config = DEFAULT_CONFIG.timing_only()
     app = fft2d_slack_model(n, threads)
     glue = generate_glue(app, benchmark_mapping(app, nodes),
                          num_processors=nodes)
-
-    def run_once(plan: Optional[FaultPlan], policy: FaultPolicy):
-        env = Environment()
-        cluster = SimCluster.from_platform(env, platform, nodes,
-                                           fault_plan=plan)
-        runtime = SageRuntime(glue, cluster, config=config,
-                              fault_policy=policy)
-        return runtime.run(iterations=iterations)
 
     def limp_plan(count: int) -> FaultPlan:
         plan = FaultPlan(seed=seed)
@@ -233,25 +207,28 @@ def run_straggler_throughput(
         return plan
 
     # Clean reference: same checkpointing machinery, no detector probes.
-    clean = run_once(None, FaultPolicy.checkpoint_restart())
-    clean_period = _steady_period(clean.sink_times, skip=iterations // 3)
+    clean = run_glue(glue, platform, nodes, iterations,
+                     policy=FaultPolicy.checkpoint_restart())
+    clean_period = steady_period(clean.sink_times[iterations // 3:])
     points = [ThroughputPoint(
         limping=0, policy="none", period_s=clean_period, ratio=1.0,
         suspects=0, migrations=0, false_dead=0,
     )]
     tail_skip = iterations // 2
     for count in limp_counts:
-        unmigrated = run_once(limp_plan(count),
+        unmigrated = run_glue(glue, platform, nodes, iterations,
+                              limp_plan(count),
                               FaultPolicy.checkpoint_restart())
-        p = _steady_period(unmigrated.sink_times, tail_skip)
+        p = steady_period(unmigrated.sink_times[tail_skip:])
         points.append(ThroughputPoint(
             limping=count, policy="none", period_s=p,
             ratio=clean_period / p if p else math.nan,
             suspects=0, migrations=0, false_dead=0,
         ))
-        migrated = run_once(limp_plan(count),
+        migrated = run_glue(glue, platform, nodes, iterations,
+                            limp_plan(count),
                             FaultPolicy.migrate_stragglers())
-        p = _steady_period(migrated.sink_times, tail_skip)
+        p = steady_period(migrated.sink_times[tail_skip:])
         points.append(ThroughputPoint(
             limping=count, policy="migrate_stragglers", period_s=p,
             ratio=clean_period / p if p else math.nan,
@@ -319,42 +296,3 @@ def format_gray_failure(
     )
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro gray-failure",
-        description=__doc__.splitlines()[0],
-    )
-    parser.add_argument("--nodes", type=int, default=8)
-    parser.add_argument("--iterations", type=int, default=30)
-    parser.add_argument("--quick", action="store_true",
-                        help="one factor, one seed, one limp count")
-    parser.add_argument("-o", "--output",
-                        help="write the tables here "
-                             "(default reports/gray_failure.txt)")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        detection = run_detection_latency(factors=(0.25,), seeds=(71,),
-                                          nodes=args.nodes)
-        timeouts = run_timeout_false_positives(seeds=(81,), nodes=args.nodes)
-        throughput = run_straggler_throughput(
-            nodes=args.nodes, iterations=args.iterations, limp_counts=(1,))
-    else:
-        detection = run_detection_latency(nodes=args.nodes)
-        timeouts = run_timeout_false_positives(nodes=args.nodes)
-        throughput = run_straggler_throughput(
-            nodes=args.nodes, iterations=args.iterations)
-    text = format_gray_failure(detection, timeouts, throughput)
-    print(text)
-    out = args.output
-    if out is None:
-        os.makedirs("reports", exist_ok=True)
-        out = os.path.join("reports", "gray_failure.txt")
-    with open(out, "w") as fh:
-        fh.write(text + "\n")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -6,20 +6,20 @@ pipeline fills, the steady-state period drops below the single-data-set
 latency, bounded by the slowest stage; throttling the source below that
 bound makes the period track the source interval instead.
 
-Run: ``python -m repro.experiments.period_latency``
+Run: ``python -m repro period-latency [-o FILE]``
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..apps import benchmark_mapping, fft2d_model
 from ..core.codegen import generate_glue
 from ..core.runtime import DEFAULT_CONFIG, SageRuntime
 from ..machine import Environment, SimCluster, get_platform
 
-__all__ = ["PeriodLatencyPoint", "run_period_latency", "format_period_latency", "main"]
+__all__ = ["PeriodLatencyPoint", "run_period_latency", "format_period_latency"]
 
 
 @dataclass
@@ -71,11 +71,3 @@ def format_period_latency(points: List[PeriodLatencyPoint]) -> str:
     lines.append("(pipelined period < latency; throttled period = source interval)")
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    print(format_period_latency(run_period_latency()))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

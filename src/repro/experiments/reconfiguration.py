@@ -18,22 +18,21 @@ Three measurements around the heartbeat detector
   reconfiguration cost (declaration to restored checkpoint), makespan
   overhead, and the degraded throughput.
 
-Run: ``python -m repro reconfiguration [--quick] [--output reports/...]``.
+Run: ``python -m repro reconfiguration [--quick] [-o FILE]``.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..apps import benchmark_mapping, corner_turn_model, fft2d_model
+from ..apps import benchmark_mapping
 from ..core.codegen import generate_glue
-from ..core.runtime import DEFAULT_CONFIG, SageRuntime
 from ..faults import FaultPlan, FaultPolicy
-from ..machine import Environment, SimCluster, get_platform
-from ..mpi.detector import FailureDetector, HeartbeatConfig
+from ..machine import get_platform
+from ..mpi.detector import HeartbeatConfig
+from .runner import APP_BUILDERS, mean_detect_ms, run_glue, start_detector
 
 __all__ = [
     "DetectionPoint",
@@ -43,13 +42,7 @@ __all__ = [
     "run_false_positives",
     "run_shrink_recovery",
     "format_reconfiguration",
-    "main",
 ]
-
-_APPS: Dict[str, Callable] = {
-    "fft2d": fft2d_model,
-    "corner_turn": corner_turn_model,
-}
 
 
 @dataclass
@@ -104,13 +97,10 @@ def run_detection_latency(
         latencies: List[float] = []
         for seed in seeds:
             crash_at = 20 * period + seed * period / 7.0
-            env = Environment()
             plan = FaultPlan(seed=seed).crash_node(
                 nodes - 1, at=crash_at, permanent=True)
-            cluster = SimCluster.from_platform(env, platform, nodes,
-                                               fault_plan=plan)
-            detector = FailureDetector(cluster, config).start()
-            declared_at, _observer = env.run(
+            detector = start_detector(platform, nodes, config, plan)
+            declared_at, _observer = detector.env.run(
                 until=detector.death_event(nodes - 1))
             detector.stop()
             latencies.append(declared_at - crash_at)
@@ -144,12 +134,9 @@ def run_false_positives(
     ]
     points: List[FalsePositivePoint] = []
     for name, plan in scenarios:
-        env = Environment()
-        cluster = SimCluster.from_platform(env, platform, nodes,
-                                           fault_plan=plan)
-        detector = FailureDetector(cluster, config).start()
+        detector = start_detector(platform, nodes, config, plan)
         soak = soak_periods * config.period
-        env.run(until=soak)
+        detector.env.run(until=soak)
         suspects = sum(1 for ev in detector.log if ev.kind == "suspect")
         fps = len(detector.declared_dead())
         detector.stop()
@@ -170,23 +157,12 @@ def run_shrink_recovery(
 ) -> List[ShrinkPoint]:
     """Kill 1..k of ``nodes`` permanently mid-run under shrink_restripe."""
     platform = get_platform("cspi")
-    config = DEFAULT_CONFIG.timing_only()
     points: List[ShrinkPoint] = []
-    for app_name, builder in _APPS.items():
+    for app_name, (builder, _rank) in APP_BUILDERS.items():
         app = builder(size, nodes)
         glue = generate_glue(app, benchmark_mapping(app, nodes),
                              num_processors=nodes)
-
-        def run_once(plan: Optional[FaultPlan],
-                     policy: Optional[FaultPolicy]):
-            env = Environment()
-            cluster = SimCluster.from_platform(env, platform, nodes,
-                                               fault_plan=plan)
-            runtime = SageRuntime(glue, cluster, config=config,
-                                  fault_policy=policy)
-            return runtime.run(iterations=iterations)
-
-        base = run_once(None, None)
+        base = run_glue(glue, platform, nodes, iterations)
         baseline_ms = base.makespan * 1e3
         baseline_tp = iterations / base.makespan
 
@@ -200,7 +176,8 @@ def run_shrink_recovery(
                                 permanent=True)
             policy = FaultPolicy.shrink_restripe(max_restarts=kills + 2)
             try:
-                result = run_once(plan, policy)
+                result = run_glue(glue, platform, nodes, iterations,
+                                  plan, policy)
             except Exception:
                 points.append(ShrinkPoint(
                     app=app_name, nodes=nodes, killed=kills, completed=False,
@@ -210,14 +187,7 @@ def run_shrink_recovery(
                     baseline_throughput=baseline_tp,
                 ))
                 continue
-            crash_times = {
-                ev.processor: ev.time
-                for ev in result.trace.by_kind("fault_injected")
-                if "node_crash" in ev.detail
-            }
             declares = result.trace.by_kind("declare_dead")
-            detect = [ev.time - crash_times[ev.processor]
-                      for ev in declares if ev.processor in crash_times]
             # Reconfiguration cost: declaration -> the restore that follows.
             restores = result.trace.by_kind("restore")
             reconfig = []
@@ -232,8 +202,7 @@ def run_shrink_recovery(
                 app=app_name, nodes=nodes, killed=kills, completed=True,
                 makespan_ms=makespan_ms,
                 overhead_pct=(makespan_ms / baseline_ms - 1.0) * 100.0,
-                detect_ms=(sum(detect) / len(detect) * 1e3
-                           if detect else math.nan),
+                detect_ms=mean_detect_ms(result.trace),
                 reconfig_ms=(sum(reconfig) / len(reconfig) * 1e3
                              if reconfig else math.nan),
                 restripe_bytes=restripe_bytes,
@@ -303,40 +272,3 @@ def format_reconfiguration(
     )
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro reconfiguration",
-        description=__doc__.splitlines()[0],
-    )
-    parser.add_argument("--nodes", type=int, default=8)
-    parser.add_argument("--size", type=int, default=32)
-    parser.add_argument("--iterations", type=int, default=4)
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer periods/seeds and a single kill count")
-    parser.add_argument("-o", "--output",
-                        help="also write the tables to this file")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        detection = run_detection_latency(periods=(1e-4, 2e-4),
-                                          nodes=args.nodes, seeds=(21,))
-        fps = run_false_positives(nodes=args.nodes, soak_periods=80)
-        shrink = run_shrink_recovery(nodes=args.nodes, size=args.size,
-                                     iterations=args.iterations,
-                                     kill_counts=(1,))
-    else:
-        detection = run_detection_latency(nodes=args.nodes)
-        fps = run_false_positives(nodes=args.nodes)
-        shrink = run_shrink_recovery(nodes=args.nodes, size=args.size,
-                                     iterations=args.iterations)
-    text = format_reconfiguration(detection, fps, shrink)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -15,14 +15,18 @@ measurement jitter (clock granularity, interrupt skew on the real VxWorks
 boards) is a small multiplicative term, seeded by a stable digest of the
 configuration, applied to that one result so the 10-run averaging
 machinery is exercised honestly.
+
+The fault-era studies share the rest: :func:`run_glue` (one faulted run),
+:func:`start_detector`, :func:`steady_period` and :func:`mean_detect_ms`.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -33,14 +37,17 @@ from ..apps import (
     fft2d_model,
     fft2d_rank,
 )
-from ..core.codegen import generate_glue
-from ..core.runtime import DEFAULT_CONFIG, RuntimeConfig, SageRuntime
+from ..core.codegen import GlueModule, generate_glue
+from ..core.runtime import DEFAULT_CONFIG, RunResult, RuntimeConfig, SageRuntime, Trace
+from ..faults import FaultPlan, FaultPolicy
 from ..machine import Environment, PlatformSpec, SimCluster
 from ..mpi import MpiWorld
+from ..mpi.detector import FailureDetector, HeartbeatConfig
 
 __all__ = [
     "Protocol", "Measurement", "measure_sage", "measure_hand", "APP_BUILDERS",
-    "FULL_PROTOCOL", "QUICK_PROTOCOL",
+    "FULL_PROTOCOL", "QUICK_PROTOCOL", "run_glue", "start_detector",
+    "steady_period", "mean_detect_ms",
 ]
 
 #: benchmark name -> (model builder, hand-coded rank program)
@@ -120,6 +127,57 @@ def _record_runs(meas: Measurement, latency: float, period: float,
     return meas
 
 
+def run_glue(
+    glue: GlueModule,
+    platform: PlatformSpec,
+    nodes: int,
+    iterations: int,
+    plan: Optional[FaultPlan] = None,
+    policy: Optional[FaultPolicy] = None,
+    config: RuntimeConfig = DEFAULT_CONFIG,
+) -> RunResult:
+    """One timing-only run of ``glue`` on a fresh simulated cluster, with
+    ``plan``'s faults injected and ``policy`` governing the recovery."""
+    cluster = SimCluster.from_platform(Environment(), platform, nodes,
+                                       fault_plan=plan)
+    runtime = SageRuntime(glue, cluster, config=config.timing_only(),
+                          fault_policy=policy)
+    return runtime.run(iterations=iterations)
+
+
+def start_detector(
+    platform: PlatformSpec,
+    nodes: int,
+    config: HeartbeatConfig,
+    plan: Optional[FaultPlan] = None,
+) -> FailureDetector:
+    """A started heartbeat detector on a fresh simulated cluster with
+    ``plan``'s faults injected; drive it through ``detector.env``."""
+    cluster = SimCluster.from_platform(Environment(), platform, nodes,
+                                       fault_plan=plan)
+    return FailureDetector(cluster, config).start()
+
+
+def steady_period(sink_times: Sequence[float]) -> float:
+    """Seconds per data set between the first and the last of ``sink_times``
+    (nan without two distinct completions to define an interval)."""
+    if len(sink_times) < 2 or sink_times[-1] <= sink_times[0]:
+        return math.nan
+    return (sink_times[-1] - sink_times[0]) / (len(sink_times) - 1)
+
+
+def mean_detect_ms(trace: Trace) -> float:
+    """Mean crash -> ``declare_dead`` latency in ms over a run's injected
+    node crashes (nan if none was declared)."""
+    crashed_at = {ev.processor: ev.time
+                  for ev in trace.by_kind("fault_injected")
+                  if "node_crash" in ev.detail}
+    detect = [ev.time - crashed_at[ev.processor]
+              for ev in trace.by_kind("declare_dead")
+              if ev.processor in crashed_at]
+    return sum(detect) / len(detect) * 1e3 if detect else math.nan
+
+
 def measure_sage(
     app: str,
     platform: PlatformSpec,
@@ -136,11 +194,9 @@ def measure_sage(
     glue = generate_glue(
         model, mapping, num_processors=nodes, optimize_buffers=optimize_buffers
     )
-    cfg = (config or DEFAULT_CONFIG).timing_only()
+    cfg = config or DEFAULT_CONFIG
     variant = "sage_optimized" if (optimize_buffers or cfg.send_staging != "all") else "sage"
-    env = Environment()
-    cluster = SimCluster.from_platform(env, platform, nodes)
-    result = SageRuntime(glue, cluster, config=cfg).run(iterations=protocol.iterations)
+    result = run_glue(glue, platform, nodes, protocol.iterations, config=cfg)
     return _record_runs(
         Measurement(app, platform.name, nodes, size, variant),
         result.mean_latency, result.period, protocol,

@@ -6,30 +6,29 @@ characterises that scheduler the way Table 1.0 characterised the
 generated code — numbers first, then the invariants that make the numbers
 trustworthy:
 
-* **Throughput & scheduling sweep** — seeded mixed workloads (FFT2D +
+* **Scheduling sweep** — seeded mixed workloads (FFT2D +
   corner turn, four tenants, tight and open budgets) at several scales and
   seeds.  Reported per run: completions, typed rejections (node-quota at
   submit, queue-depth at arrival), conservative backfills, budget kills,
-  shared-cluster utilization, mean queue wait, and the headline
-  designs-compiled-and-simulated per host second.
+  shared-cluster utilization and mean queue wait (all virtual-time
+  figures, so the report is reproducible; host-time throughput is the
+  ``service_mix`` benchmark workload's, and ``serve --soak``'s JSON).
 * **Invariant scorecard** — each run re-checks the five soak invariants
   (standalone isolation, replay determinism, quota/no-starvation, zero
   leaked slots, telemetry consistency).  A run with any violation fails
-  the experiment.
+  the experiment (:class:`~repro.experiments.generate_report.StudyFailed`).
 * **Per-tenant fairness** — one 300-job run broken down by tenant:
   submitted/completed/rejected and nodes-seconds consumed, showing the
   under-provisioned ``burst`` tenant is clamped by its quota while the
   open tenants share the remainder.
 
-Run: ``python -m repro service-soak [--quick] [-o reports/service_soak.txt]``.
+Run: ``python -m repro service-soak [--quick] [-o FILE]``.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..service.soak import SoakReport, generate_workload, run_soak
 
@@ -38,7 +37,6 @@ __all__ = [
     "run_sweep",
     "run_tenant_breakdown",
     "format_service_soak",
-    "main",
 ]
 
 
@@ -105,8 +103,7 @@ def format_service_soak(reports: List[SoakReport],
         "Scheduling sweep (mixed FFT2D/corner-turn, 4 tenants, "
         "FIFO + conservative backfill)",
         f"{'jobs':>6s}{'seed':>6s}{'done':>7s}{'rej':>6s}{'bfill':>7s}"
-        f"{'kill':>6s}{'util':>7s}{'wait ms':>9s}{'jobs/s':>9s}"
-        f"{'invariants':>12s}",
+        f"{'kill':>6s}{'util':>7s}{'wait ms':>9s}{'invariants':>12s}",
     ]
     for r in reports:
         inv = f"{sum(r.invariants.values())}/{len(r.invariants)}"
@@ -114,12 +111,10 @@ def format_service_soak(reports: List[SoakReport],
             f"{r.jobs:>6d}{r.seed:>6d}{r.completed:>7d}"
             f"{r.rejected + r.rejected_at_submit:>6d}{r.backfills:>7d}"
             f"{r.budget_kills:>6d}{r.utilization:>7.2f}"
-            f"{r.mean_wait * 1e3:>9.3f}{r.jobs_per_sec:>9.1f}"
-            f"{inv:>12s}"
+            f"{r.mean_wait * 1e3:>9.3f}{inv:>12s}"
         )
     lines += [
-        "(jobs/s is host wall clock, informational. "
-        "invariants: isolation, determinism, quota/no-starvation, "
+        "(invariants: isolation, determinism, quota/no-starvation, "
         "zero leaked slots, telemetry)",
         "",
         "Per-tenant fairness (300 jobs; 'burst' is quota-clamped to 2 "
@@ -134,36 +129,3 @@ def format_service_soak(reports: List[SoakReport],
         )
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro service-soak",
-        description=__doc__.splitlines()[0],
-    )
-    parser.add_argument("--nodes", type=int, default=8)
-    parser.add_argument("--quick", action="store_true",
-                        help="one scale, one seed, smaller breakdown")
-    parser.add_argument("-o", "--output",
-                        help="write the tables here "
-                             "(default reports/service_soak.txt)")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        reports = run_sweep(scales=(60,), seeds=(7,), nodes=args.nodes)
-        tenants = run_tenant_breakdown(jobs=60, nodes=args.nodes)
-    else:
-        reports = run_sweep(nodes=args.nodes)
-        tenants = run_tenant_breakdown(nodes=args.nodes)
-    text = format_service_soak(reports, tenants)
-    print(text)
-    out = args.output
-    if out is None:
-        os.makedirs("reports", exist_ok=True)
-        out = os.path.join("reports", "service_soak.txt")
-    with open(out, "w") as fh:
-        fh.write(text + "\n")
-    return 1 if any(not r.ok for r in reports) else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -6,19 +6,19 @@ and distributed corner turn on 4- and 8-node CSPI configurations with
 reported as SAGE-as-percentage-of-hand-coded with per-application and
 overall averages (the paper's headline 77.5 % / "within 75 % efficiency").
 
-Run: ``python -m repro.experiments.table1 [--quick] [--summary]``
+Run: ``python -m repro table1 [--quick] [-o FILE]``
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..machine import get_platform
-from .runner import FULL_PROTOCOL, QUICK_PROTOCOL, Protocol, measure_hand, measure_sage
+from .runner import QUICK_PROTOCOL, Protocol, measure_hand, measure_sage
 
-__all__ = ["Table1Row", "run_table1", "format_table1", "main",
+__all__ = ["Table1Row", "run_table1", "format_table1",
            "NODE_COUNTS", "ARRAY_SIZES", "APPS"]
 
 NODE_COUNTS = (4, 8)
@@ -49,22 +49,17 @@ class Table1Row:
 
 def run_table1(
     protocol: Protocol = QUICK_PROTOCOL,
-    platform_name: str = "cspi",
     node_counts: Sequence[int] = NODE_COUNTS,
     sizes: Sequence[int] = ARRAY_SIZES,
-    optimize_buffers: bool = False,
 ) -> List[Table1Row]:
-    """Measure every cell of Table 1.0; returns rows in paper order."""
-    platform = get_platform(platform_name)
+    """Measure every cell of Table 1.0 on CSPI; returns rows in paper order."""
+    platform = get_platform("cspi")
     rows: List[Table1Row] = []
     for app_label, app in APPS:
         for nodes in node_counts:
             for size in sizes:
                 hand = measure_hand(app, platform, nodes, size, protocol)
-                sage = measure_sage(
-                    app, platform, nodes, size, protocol,
-                    optimize_buffers=optimize_buffers,
-                )
+                sage = measure_sage(app, platform, nodes, size, protocol)
                 rows.append(
                     Table1Row(app_label, app, nodes, size,
                               hand.latency_ms, sage.latency_ms)
@@ -105,30 +100,3 @@ def format_table1(rows: Sequence[Table1Row]) -> str:
         lines.append(f"{'Average ' + label + ':':<44s}{value:>21.1f}%")
     return "\n".join(lines)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="3 runs x 10 iterations instead of the full 10x100")
-    parser.add_argument("--summary", action="store_true",
-                        help="print only the averages (the §4 aggregate)")
-    parser.add_argument("--optimized", action="store_true",
-                        help="use the §4 optimised glue generator")
-    parser.add_argument("--platform", default="cspi")
-    args = parser.parse_args(argv)
-
-    protocol = QUICK_PROTOCOL if args.quick else FULL_PROTOCOL
-    rows = run_table1(protocol, platform_name=args.platform,
-                      optimize_buffers=args.optimized)
-    if args.summary:
-        for label, value in averages(rows).items():
-            print(f"{label}: {value:.1f}% of hand-coded")
-    else:
-        print(format_table1(rows))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

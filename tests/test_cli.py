@@ -1,10 +1,15 @@
 """CLI tests for ``python -m repro``."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
 from repro.apps import benchmark_mapping, fft2d_model
 from repro.core.model import cspi_hardware, save_design
+from repro.experiments.generate_report import STUDIES
+
+REPORTS = Path(__file__).resolve().parent.parent / "reports"
 
 
 @pytest.fixture
@@ -64,12 +69,6 @@ def test_run_with_platform_override(design_path, capsys):
     assert "timeline" in capsys.readouterr().out
 
 
-def test_experiment_passthrough(capsys):
-    assert main(["period-latency"]) == 0
-    out = capsys.readouterr().out
-    assert "period vs latency" in out
-
-
 def test_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -112,6 +111,49 @@ def test_generate_text_format_requires_nodes(sage_text_path, capsys):
     assert "pass --nodes" in capsys.readouterr().err
 
 
-def test_code_size_experiment_passthrough(capsys):
-    assert main(["code-size"]) == 0
-    assert "hand rank pgm" in capsys.readouterr().out
+#: Studies whose quick protocol runs in about 2 s or less.  gray-failure's
+#: quick protocol takes about 9 s, so only CI's report regeneration (every
+#: study at the full protocol) runs it.
+FAST_STUDIES = [
+    "table1", "two-node", "optimized-glue", "knobs", "crossvendor", "atot",
+    "period-latency", "code-size", "fault-tolerance", "reconfiguration",
+    "elasticity", "service-soak",
+]
+
+
+@pytest.mark.parametrize("name", FAST_STUDIES)
+def test_study_quick(name, tmp_path, capsys):
+    """Each study runs through the CLI, prints its report and writes the
+    same text with -o; the title matches the committed report's."""
+    study = next(s for s in STUDIES if s.name == name)
+    out = tmp_path / study.report
+    assert main([name, "--quick", "-o", str(out)]) == 0   # gates held
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    committed = (REPORTS / study.report).read_text()
+    assert printed.splitlines()[0] == committed.splitlines()[0]
+
+
+def test_every_report_is_owned_by_one_study_subcommand(capsys):
+    """The study table owns every committed reports/*.txt exactly once, and
+    every row is a subcommand taking exactly --quick and -o/--output."""
+    owned = [s.report for s in STUDIES]
+    assert sorted(owned) == sorted(p.name for p in REPORTS.glob("*.txt"))
+    for study in STUDIES:
+        with pytest.raises(SystemExit) as exit_:
+            main([study.name, "--help"])
+        assert exit_.value.code == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == (f"usage: python -m repro {study.name} "
+                         "[-h] [--quick] [-o OUTPUT]")
+
+
+def test_service_soak_invariant_violation_exits_1(monkeypatch, tmp_path, capsys):
+    """service-soak is a gate: a violated invariant still prints and writes
+    the report, then exits 1."""
+    from repro.service.soak import SoakReport
+
+    monkeypatch.setattr(SoakReport, "ok", property(lambda self: False))
+    out = tmp_path / "service_soak.txt"
+    assert main(["service-soak", "--quick", "-o", str(out)]) == 1
+    assert out.read_text() == capsys.readouterr().out

@@ -203,16 +203,6 @@ def test_soak_default_quotas_clamp_burst():
 
 
 class TestExperimentAndBench:
-    def test_r5_experiment_quick(self, tmp_path, capsys):
-        from repro.experiments.service_soak import main
-
-        out = tmp_path / "R5.txt"
-        assert main(["--quick", "-o", str(out)]) == 0
-        text = out.read_text()
-        assert "SAGE-as-a-service" in text
-        assert "burst" in text
-        assert "5/5" in text            # all invariants held
-
     def test_r5_tenant_breakdown_accounts_everyone(self):
         from repro.experiments.service_soak import run_tenant_breakdown
 
