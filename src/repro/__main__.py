@@ -8,11 +8,10 @@ kernels      the software-shelf contents (ISSPL + structural + radar)
 generate     load a design document, run the Alter glue generator, save glue
 analyze      run the SAGE Verifier (lint + schedules + buffers), no execution
 run          load a design document and execute it on a simulated platform
-chaos        randomized chaos soak: seeded fault schedules x fault policies
-serve        multi-job service over a shared cluster; --soak runs the harness
+serve        play a batch file through the multi-job service (`--batch FILE`)
 submit       append one job spec to a batch file for `serve --batch`
 <study>      one paper artifact per reports/*.txt file (table1, knobs, atot,
-             ..., service-soak: experiments.generate_report.STUDIES)
+             ..., chaos, service-soak: experiments.generate_report.STUDIES)
 """
 
 from __future__ import annotations
@@ -290,10 +289,6 @@ def cmd_study(study, args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "chaos":
-        from .chaos.soak import main as chaos_main
-
-        return chaos_main(argv[1:])
     if argv and argv[0] == "serve":
         from .service.cli import serve_main
 
@@ -367,8 +362,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument("--optimized", action="store_true")
     run.set_defaults(fn=cmd_run)
 
-    sub.add_parser("chaos", help="randomized chaos soak (repro.chaos.soak)")
-    sub.add_parser("serve", help="multi-job service / soak harness (repro.service)")
+    sub.add_parser("serve", help="play a batch file through the multi-job service")
     sub.add_parser("submit", help="append a job spec to a service batch file")
     from .experiments.generate_report import STUDIES
 

@@ -21,8 +21,8 @@ must hold regardless of what was injected:
   timestamps, exits never outnumber enters, arrivals never outnumber
   sends, one sink record per completed iteration.
 
-``python -m repro chaos --seed S --schedules N --policy P`` runs the soak
-from the command line; see :mod:`repro.chaos.soak`.
+``python -m repro chaos [-o FILE]`` runs the soak and prints the committed
+``reports/chaos.txt``; see :mod:`repro.chaos.soak`.
 """
 
 from .schedule import CHAOS_KINDS, ChaosSchedule, generate_schedule
@@ -35,7 +35,7 @@ from .invariants import (
     check_results,
     expected_outcome,
 )
-from .soak import SOAK_POLICIES, ScheduleOutcome, format_soak, run_schedule, soak, main
+from .soak import SOAK_POLICIES, ScheduleOutcome, format_soak, run_schedule, soak
 
 __all__ = [
     "CHAOS_KINDS",
@@ -53,5 +53,4 @@ __all__ = [
     "run_schedule",
     "soak",
     "format_soak",
-    "main",
 ]

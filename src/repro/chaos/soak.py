@@ -1,20 +1,20 @@
 """The chaos-soak runner: schedules x policies, invariants checked.
 
-One soak generates ``--schedules`` seeded schedules (seeds ``S, S+1, ...``)
-and executes each under every selected fault policy against a small
-numeric corner-turn workload (real data, so the bitwise-identity invariant
-has bytes to compare).  The fault-free baseline run supplies both the
-reference results and the horizon the schedules are scaled to.
+The soak generates 20 seeded schedules (seeds 1..20) and executes each
+under every fault policy against a small numeric corner-turn workload (real
+data, so the bitwise-identity invariant has bytes to compare).  The
+fault-free baseline run supplies both the reference results and the
+horizon the schedules are scaled to.
 
-Run: ``python -m repro chaos [--seed S] [--schedules N] [--policy P]
-[--nodes K] [--size N]``; exits non-zero if any invariant is violated.
+Run: ``python -m repro chaos [-o FILE]``, the ``chaos`` row of the study
+table (:mod:`repro.experiments.generate_report`); it exits 1 if any
+invariant is violated.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..apps import MatrixProvider, benchmark_mapping, corner_turn_model
 from ..core.codegen import generate_glue
@@ -31,7 +31,7 @@ from .invariants import (
     check_results,
     expected_outcome,
 )
-from .schedule import CHAOS_KINDS, ChaosSchedule, generate_schedule
+from .schedule import ChaosSchedule, generate_schedule
 
 __all__ = [
     "SOAK_POLICIES",
@@ -39,7 +39,6 @@ __all__ = [
     "run_schedule",
     "soak",
     "format_soak",
-    "main",
 ]
 
 #: Policy factories for the soak sweep.  Retry/restart budgets are sized so
@@ -145,30 +144,16 @@ def run_schedule(
     )
 
 
-def soak(
-    seed: int = 1,
-    schedules: int = 20,
-    policies: Optional[Sequence[str]] = None,
-    n: int = 16,
-    nodes: int = 2,
-    iterations: int = 3,
-    kinds: Optional[Sequence[str]] = None,
-) -> List[ScheduleOutcome]:
-    """Run the full soak matrix and return every (schedule, policy) cell."""
-    names = list(policies) if policies else list(SOAK_POLICIES)
-    for name in names:
-        if name not in SOAK_POLICIES:
-            raise ValueError(
-                f"unknown policy {name!r}; choose from {sorted(SOAK_POLICIES)}"
-            )
-    baseline = run_baseline(n, nodes, iterations)
-    horizon = baseline.makespan
+def soak() -> List[ScheduleOutcome]:
+    """Run the soak matrix: schedule seeds 1..20 x every policy on a
+    2-node corner turn, and return every cell."""
+    nodes = 2
+    baseline = run_baseline(nodes=nodes)
     outcomes: List[ScheduleOutcome] = []
-    for i in range(schedules):
-        schedule = generate_schedule(seed + i, nodes, horizon, kinds=kinds)
-        for name in names:
-            outcomes.append(run_schedule(schedule, name, baseline,
-                                         n=n, iterations=iterations))
+    for seed in range(1, 21):
+        schedule = generate_schedule(seed, nodes, baseline.makespan)
+        for name in SOAK_POLICIES:
+            outcomes.append(run_schedule(schedule, name, baseline))
     return outcomes
 
 
@@ -212,45 +197,3 @@ def format_soak(outcomes: List[ScheduleOutcome]) -> str:
     else:
         lines.append("all invariants held.")
     return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description=__doc__.splitlines()[0],
-    )
-    parser.add_argument("--seed", type=int, default=1,
-                        help="first schedule seed (default 1)")
-    parser.add_argument("--schedules", type=int, default=20,
-                        help="number of seeded schedules (default 20)")
-    parser.add_argument("--policy", action="append",
-                        choices=sorted(SOAK_POLICIES),
-                        help="policy to soak (repeatable; default: all)")
-    parser.add_argument("--nodes", type=int, default=2)
-    parser.add_argument("--size", type=int, default=16,
-                        help="corner-turn matrix size (default 16)")
-    parser.add_argument("--iterations", type=int, default=3)
-    parser.add_argument("--kinds",
-                        help="comma-separated taxonomy subset, e.g. slow,flap"
-                             f" (default: all of {','.join(CHAOS_KINDS)})")
-    parser.add_argument("-o", "--output",
-                        help="also write the report to this file")
-    args = parser.parse_args(argv)
-
-    kinds = ([k.strip() for k in args.kinds.split(",") if k.strip()]
-             if args.kinds else None)
-    outcomes = soak(
-        seed=args.seed, schedules=args.schedules, policies=args.policy,
-        n=args.size, nodes=args.nodes, iterations=args.iterations,
-        kinds=kinds,
-    )
-    text = format_soak(outcomes)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    return 1 if any(o.violations for o in outcomes) else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,8 +9,10 @@ holds) and a quick protocol (seconds, for smoke tests).  The table drives
 * ``python -m repro <study> [--quick] [-o FILE]``, one subcommand per row;
 * CI, which regenerates every report and diffs it against the committed one.
 
-The elasticity, gray-failure and service-soak studies are imported only
-when they run, so ``import repro`` does not load them.
+The elasticity, gray-failure, chaos and service-soak studies are imported
+only when they run, so ``import repro`` does not load them.  The chaos and
+service-soak studies are also gates: a violated invariant raises
+:class:`StudyFailed`, and the command exits 1.
 """
 
 from __future__ import annotations
@@ -117,16 +119,22 @@ def _gray_failure_text(quick: bool) -> str:
                                run_straggler_throughput())
 
 
-def _service_soak_text(quick: bool) -> str:
-    """The soak's invariants are a gate: any violation raises StudyFailed."""
-    from .service_soak import format_service_soak, run_sweep, run_tenant_breakdown
+def _chaos_text() -> str:
+    """One protocol (20 schedules x 6 policies, about a second) for both."""
+    from ..chaos.soak import format_soak, soak
 
-    if quick:
-        reports = run_sweep(scales=(60,), seeds=(7,))
-        tenants = run_tenant_breakdown(jobs=60)
-    else:
-        reports, tenants = run_sweep(), run_tenant_breakdown()
-    text = format_service_soak(reports, tenants)
+    outcomes = soak()
+    text = format_soak(outcomes)
+    if not all(o.ok for o in outcomes):
+        raise StudyFailed(text)
+    return text
+
+
+def _service_soak_text(quick: bool) -> str:
+    from .service_soak import format_service_soak, run_sweep
+
+    reports = run_sweep(scales=(60,), seeds=(7,)) if quick else run_sweep()
+    text = format_service_soak(reports)
     if not all(r.ok for r in reports):
         raise StudyFailed(text)
     return text
@@ -160,6 +168,7 @@ STUDIES: Tuple[Study, ...] = (
     _by_flag("reconfiguration.txt", _reconfiguration_text),
     _by_flag("elasticity.txt", _elasticity_text),
     _by_flag("gray_failure.txt", _gray_failure_text),
+    Study("chaos.txt", _chaos_text, _chaos_text),
     _by_flag("service_soak.txt", _service_soak_text),
 )
 

@@ -12,15 +12,15 @@ trustworthy:
   submit, queue-depth at arrival), conservative backfills, budget kills,
   shared-cluster utilization and mean queue wait (all virtual-time
   figures, so the report is reproducible; host-time throughput is the
-  ``service_mix`` benchmark workload's, and ``serve --soak``'s JSON).
+  ``service_mix`` benchmark workload's).
 * **Invariant scorecard** — each run re-checks the five soak invariants
   (standalone isolation, replay determinism, quota/no-starvation, zero
   leaked slots, telemetry consistency).  A run with any violation fails
   the experiment (:class:`~repro.experiments.generate_report.StudyFailed`).
-* **Per-tenant fairness** — one 300-job run broken down by tenant:
-  submitted/completed/rejected and nodes-seconds consumed, showing the
-  under-provisioned ``burst`` tenant is clamped by its quota while the
-  open tenants share the remainder.
+* **Per-tenant fairness** — the sweep's 300-job run at seed 7 broken down
+  by tenant: submitted/completed/rejected and nodes-seconds consumed,
+  showing the under-provisioned ``burst`` tenant is clamped by its quota
+  while the open tenants share the remainder.
 
 Run: ``python -m repro service-soak [--quick] [-o FILE]``.
 """
@@ -35,7 +35,7 @@ from ..service.soak import SoakReport, generate_workload, run_soak
 __all__ = [
     "TenantRow",
     "run_sweep",
-    "run_tenant_breakdown",
+    "tenant_breakdown",
     "format_service_soak",
 ]
 
@@ -62,14 +62,10 @@ def run_sweep(
     ]
 
 
-def run_tenant_breakdown(jobs: int = 300, seed: int = 7,
-                         nodes: int = 8) -> List[TenantRow]:
-    """Play one workload and account per-tenant outcomes and node-seconds."""
-    from ..service.soak import _build_service, _drive
-
-    svc = _build_service(nodes, seed)
-    workload = generate_workload(jobs, seed)
-    _drive(svc, workload)
+def tenant_breakdown(report: SoakReport) -> List[TenantRow]:
+    """One soak run's per-tenant outcomes and node-seconds."""
+    svc = report.service
+    workload = generate_workload(report.jobs, report.seed)
     by_tenant: Dict[str, TenantRow] = {}
     for spec, _at in workload:
         row = by_tenant.setdefault(
@@ -94,8 +90,10 @@ def run_tenant_breakdown(jobs: int = 300, seed: int = 7,
     return [by_tenant[t] for t in sorted(by_tenant)]
 
 
-def format_service_soak(reports: List[SoakReport],
-                        tenants: List[TenantRow]) -> str:
+def format_service_soak(reports: List[SoakReport]) -> str:
+    """The sweep table, then the tenant breakdown of its largest run at its
+    first seed (``max`` keeps the first of equal job counts)."""
+    tenants = tenant_breakdown(max(reports, key=lambda r: r.jobs))
     lines = [
         "R5 — SAGE-as-a-service: multi-tenant soak over one shared "
         "simulated cluster",

@@ -13,8 +13,8 @@ package turns that pipeline into a long-running service front end:
   messages and re-published probe telemetry on hierarchical topics.
 * :mod:`repro.service.service` — :class:`SageService`, the front end tying
   queue + scheduler + bus over one shared :class:`~repro.machine.SimCluster`.
-* :mod:`repro.service.soak` — the 1000-job soak harness and its five
-  invariants (``python -m repro serve --soak``).
+* :mod:`repro.service.soak` — the soak harness and its five invariants,
+  run by the ``service-soak`` study (``python -m repro service-soak``).
 
 See ``docs/SERVICE.md`` for the architecture and determinism story.
 """

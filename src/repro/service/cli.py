@@ -3,10 +3,8 @@
 ``submit`` is the batch front door: it validates one :class:`JobSpec` and
 appends it to a batch file (creating it on first use).  ``serve --batch``
 then stands up a :class:`SageService`, plays the whole batch through the
-scheduler, and prints per-job outcomes.  ``serve --soak`` runs the
-soak-test harness instead (see :mod:`repro.service.soak`) and writes its
-report as JSON; its exit code is the CI gate (non-zero on any invariant
-violation).
+scheduler, and prints per-job outcomes.  The soak harness
+(:mod:`repro.service.soak`) runs through the ``service-soak`` study.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from typing import List, Optional
 
 from .errors import ServiceError
 from .jobs import JobSpec
-from .soak import run_soak
 
 __all__ = ["serve_main", "submit_main"]
 
@@ -66,60 +63,20 @@ def _run_batch(args) -> int:
     return 1 if violations else 0
 
 
-def _run_soak(args) -> int:
-    report = run_soak(
-        jobs=args.jobs,
-        seed=args.seed,
-        nodes=args.nodes,
-        replay=not args.no_replay,
-        isolation=not args.no_isolation,
-        progress=lambda line: print(line, file=sys.stderr),
-    )
-    text = json.dumps(report.to_dict(), indent=1)
-    parent = os.path.dirname(args.output)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(args.output, "w") as fh:
-        fh.write(text + "\n")
-    print(f"wrote soak report to {args.output}", file=sys.stderr)
-    print(text)
-    if not report.ok:
-        for line in report.violations[:20]:
-            print(f"VIOLATION: {line}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def serve_main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
         description="run the multi-job SAGE service over one shared "
-                    "simulated cluster (batch mode or soak mode)",
+                    "simulated cluster",
     )
-    parser.add_argument("--batch", help="batch file of job specs to play "
-                                        "(see `python -m repro submit`)")
-    parser.add_argument("--soak", action="store_true",
-                        help="run the soak harness + five invariants")
-    parser.add_argument("--jobs", type=int, default=1000,
-                        help="soak job count (default 1000)")
+    parser.add_argument("--batch", required=True,
+                        help="batch file of job specs to play "
+                             "(see `python -m repro submit`)")
     parser.add_argument("--seed", type=int, default=7,
-                        help="workload + scheduler tie-break seed")
+                        help="scheduler tie-break seed (default 7)")
     parser.add_argument("--nodes", type=int, default=8,
                         help="shared cluster size (default 8)")
-    parser.add_argument("--no-replay", action="store_true",
-                        help="soak: skip the determinism replay invariant")
-    parser.add_argument("--no-isolation", action="store_true",
-                        help="soak: skip the standalone-isolation invariant")
-    parser.add_argument("-o", "--output", default="reports/service_soak.json",
-                        help="soak: report path "
-                             "(default reports/service_soak.json)")
-    args = parser.parse_args(argv)
-    if args.soak:
-        return _run_soak(args)
-    if args.batch:
-        return _run_batch(args)
-    parser.error("nothing to do: pass --batch FILE or --soak")
-    return 2
+    return _run_batch(parser.parse_args(argv))
 
 
 def submit_main(argv: Optional[List[str]] = None) -> int:

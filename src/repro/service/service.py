@@ -429,7 +429,9 @@ class SageService:
 
     def check_clean(self) -> List:
         """Post-run machine hygiene, reusing the chaos leak checks: the
-        shared cluster must hold zero slots with empty queues."""
+        shared cluster must hold zero slots with empty queues and no lease
+        may stay active.  Returns the :class:`~repro.chaos.invariants.Violation`
+        list (empty when clean)."""
         from ..chaos.invariants import check_quiescent
 
         violations = list(check_quiescent(self.env, self.cluster))

@@ -1,10 +1,11 @@
 """The service soak harness: N-job mixed workloads and five invariants.
 
-``python -m repro serve --soak --jobs 1000`` builds a seeded workload of
-mixed FFT2D / corner-turn submissions from several tenants (including
-deliberately over-quota ones), pushes it through one
-:class:`~repro.service.service.SageService`, and then *proves* the run was
-correct instead of eyeballing it:
+:func:`run_soak` builds a seeded workload of mixed FFT2D / corner-turn
+submissions from several tenants (including deliberately over-quota ones),
+pushes it through one :class:`~repro.service.service.SageService`, and
+then *proves* the run was correct instead of eyeballing it.  Every check
+returns a list of :class:`~repro.chaos.invariants.Violation` (the chaos
+soak's verdict type), empty when the invariant holds:
 
 1. **isolation** — every completed job's result quantities and probe-trace
    digest are bitwise identical to the same spec run standalone on a
@@ -15,26 +16,25 @@ correct instead of eyeballing it:
 3. **quota & no-starvation** — every rejection carries the typed quota
    error, no tenant ever holds more nodes than its quota concurrently, and
    no backfilled job pushed a FIFO-older job past its recorded reservation.
-4. **zero leaked slots** — after the drain the shared cluster passes the
-   chaos-harness quiescence check: every CPU slot free, nobody queued, no
-   active leases (:func:`repro.chaos.invariants.check_quiescent` reused
-   verbatim).
+4. **zero leaked slots** — :meth:`SageService.check_clean`: after the drain
+   every CPU slot is free, nobody is queued, and no lease is active.
 5. **telemetry consistency** — each executed job re-published exactly one
    probe-telemetry message, under its own topic only, whose digest matches
    the job's result; lifecycle message counts reconcile with job states.
 
-The report also carries **jobs/sec** — designs compiled *and* simulated per
-host second — as information only: the soak is a correctness gate, and
-wall-clock service throughput is measured by ``bench/run.py``'s
-``service_mix`` workload.
+The soak runs through the ``service-soak`` study
+(``python -m repro service-soak [--quick] [-o FILE]``), which exits 1 on
+any violation.  It is a correctness gate: wall-clock service throughput is
+measured by ``bench/run.py``'s ``service_mix`` workload.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
+from ..chaos.invariants import Violation
 from .jobs import JobSpec
 from .scheduler import TenantQuota, _EPS
 from .service import SageService, run_standalone
@@ -130,90 +130,55 @@ class SoakReport:
     jobs: int
     seed: int
     nodes: int
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    rejected: int = 0
-    rejected_at_submit: int = 0
-    backfills: int = 0
-    budget_kills: int = 0
-    jobs_per_sec: float = 0.0
-    wall_seconds: float = 0.0
-    virtual_span: float = 0.0
-    utilization: float = 0.0
-    mean_wait: float = 0.0
-    max_wait: float = 0.0
-    bus_messages: int = 0
-    bus_digest: str = ""
-    reference_runs: int = 0
-    invariants: Dict[str, bool] = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
+    service: SageService        # the driven service, for per-job follow-up reads
+    submitted: int
+    completed: int
+    failed: int
+    rejected: int
+    rejected_at_submit: int
+    backfills: int
+    budget_kills: int
+    utilization: float
+    mean_wait: float
+    violations: Dict[str, List[Violation]]     # invariant name -> violations
+
+    @property
+    def invariants(self) -> Dict[str, bool]:
+        """Which invariants held: those whose check found no violation."""
+        return {name: not found for name, found in self.violations.items()}
 
     @property
     def ok(self) -> bool:
-        return not self.violations and all(self.invariants.values())
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "jobs": self.jobs,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "rejected_at_submit": self.rejected_at_submit,
-            "backfills": self.backfills,
-            "budget_kills": self.budget_kills,
-            "jobs_per_sec": self.jobs_per_sec,
-            "wall_seconds": self.wall_seconds,
-            "virtual_span": self.virtual_span,
-            "utilization": self.utilization,
-            "mean_wait": self.mean_wait,
-            "max_wait": self.max_wait,
-            "bus_messages": self.bus_messages,
-            "bus_digest": self.bus_digest,
-            "reference_runs": self.reference_runs,
-            "invariants": dict(self.invariants),
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
+        return all(self.invariants.values())
 
 
 def _build_service(nodes: int, seed: int) -> SageService:
     return SageService(nodes=nodes, seed=seed, quotas=default_quotas())
 
 
-def _drive(svc: SageService,
-           workload: Sequence[Tuple[JobSpec, float]]) -> Tuple[List[str], int]:
-    """Submit the workload (tolerating typed submit-time rejections), run."""
+def _drive(svc: SageService, workload: Sequence[Tuple[JobSpec, float]]) -> int:
+    """Submit the workload, run it, and count the typed submit-time rejections."""
     from .errors import ServiceError
 
-    ids: List[str] = []
     rejected_at_submit = 0
     for spec, at in workload:
         try:
-            ids.append(svc.submit(spec, at=at))
+            svc.submit(spec, at=at)
         except ServiceError:
             rejected_at_submit += 1
     svc.run()
-    return ids, rejected_at_submit
+    return rejected_at_submit
 
 
 # -- the five invariants ------------------------------------------------------
 
-def check_isolation(
-    svc: SageService,
-    references: Optional[Dict[str, tuple]] = None,
-) -> Tuple[List[str], int]:
+def check_isolation(svc: SageService) -> List[Violation]:
     """Invariant 1: completed service jobs == their standalone runs, bitwise.
 
-    ``references`` memoizes standalone reference runs by spec fingerprint
-    across calls; returns (violations, reference_runs_executed).
+    Standalone reference runs are memoized by spec fingerprint.
     """
-    refs = references if references is not None else {}
-    fresh = 0
-    out: List[str] = []
+    refs: Dict[str, tuple] = {}
+    out: List[Violation] = []
     for job in svc.jobs.values():
         if job.state != "completed" or job.result is None:
             continue
@@ -224,7 +189,6 @@ def check_isolation(
                 result.trace.digest(), result.makespan, result.mean_latency,
                 result.period, len(result.trace), sim_events,
             )
-            fresh += 1
         digest, makespan, latency, period, nprobes, nevents = refs[key]
         r = job.result
         checks = (
@@ -237,11 +201,12 @@ def check_isolation(
         )
         for name, got, want in checks:
             if got != want:
-                out.append(
-                    f"isolation: {job.id} [{key}] {name} diverged from "
-                    f"standalone: {got!r} != {want!r}"
-                )
-    return out, fresh
+                out.append(Violation(
+                    "isolation",
+                    f"{job.id} [{key}] {name} diverged from "
+                    f"standalone: {got!r} != {want!r}",
+                ))
+    return out
 
 
 def check_determinism(
@@ -249,30 +214,32 @@ def check_determinism(
     workload: Sequence[Tuple[JobSpec, float]],
     nodes: int,
     seed: int,
-) -> List[str]:
+) -> List[Violation]:
     """Invariant 2: a fresh service + same workload replays byte-identically."""
     replay = _build_service(nodes, seed)
     _drive(replay, workload)
-    out: List[str] = []
+    out: List[Violation] = []
     a, b = first.bus, replay.bus
     if a.digest() != b.digest():
-        out.append(
-            f"determinism: bus stream digest diverged on replay "
-            f"({a.digest()[:12]} != {b.digest()[:12]})"
-        )
+        out.append(Violation(
+            "determinism",
+            f"bus stream digest diverged on replay "
+            f"({a.digest()[:12]} != {b.digest()[:12]})",
+        ))
         # Localise the first divergent message for the report.
         for i, (ma, mb) in enumerate(zip(a.history, b.history)):
             if ma.canonical() != mb.canonical():
-                out.append(
-                    f"determinism: first divergence at message {i}: "
-                    f"{ma.canonical()!r} != {mb.canonical()!r}"
-                )
+                out.append(Violation(
+                    "determinism",
+                    f"first divergence at message {i}: "
+                    f"{ma.canonical()!r} != {mb.canonical()!r}",
+                ))
                 break
         else:
-            out.append(
-                f"determinism: stream lengths differ "
-                f"({len(a.history)} != {len(b.history)})"
-            )
+            out.append(Violation(
+                "determinism",
+                f"stream lengths differ ({len(a.history)} != {len(b.history)})",
+            ))
 
     def grants(svc):
         return [
@@ -289,25 +256,27 @@ def check_determinism(
             (i for i, (x, y) in enumerate(zip(ga, gb)) if x != y),
             min(len(ga), len(gb)),
         )
-        out.append(
-            "determinism: admission order / lease assignments diverged "
-            f"(first difference at index {index})"
-        )
+        out.append(Violation(
+            "determinism",
+            "admission order / lease assignments diverged "
+            f"(first difference at index {index})",
+        ))
     return out
 
 
-def check_quota_and_starvation(svc: SageService) -> List[str]:
+def check_quota_and_starvation(svc: SageService) -> List[Violation]:
     """Invariant 3: typed rejections, quota ceilings, reservation promises."""
     from .errors import QuotaExceededError
 
-    out: List[str] = []
+    out: List[Violation] = []
     for job in svc.jobs.values():
         if job.state == "rejected" and not isinstance(
                 job.error, QuotaExceededError):
-            out.append(
-                f"quota: {job.id} rejected without the typed quota error "
-                f"(got {type(job.error).__name__})"
-            )
+            out.append(Violation(
+                "quota",
+                f"{job.id} rejected without the typed quota error "
+                f"(got {type(job.error).__name__})",
+            ))
     # Concurrent node usage never exceeds the tenant ceiling: sweep the
     # lease history as +width/-width edges per tenant.
     for tenant in {l.tenant for l in svc.scheduler.history}:
@@ -325,10 +294,11 @@ def check_quota_and_starvation(svc: SageService) -> List[str]:
             width += delta
             peak = max(peak, width)
         if peak > quota.max_nodes:
-            out.append(
-                f"quota: tenant {tenant!r} held {peak} nodes concurrently "
-                f"(quota {quota.max_nodes})"
-            )
+            out.append(Violation(
+                "quota",
+                f"tenant {tenant!r} held {peak} nodes concurrently "
+                f"(quota {quota.max_nodes})",
+            ))
     # No starvation: whenever the scheduler backfilled past a blocked head,
     # it recorded the head's reservation — the promise that backfill must
     # not delay it.  Every such job must have started by its promise.
@@ -337,63 +307,59 @@ def check_quota_and_starvation(svc: SageService) -> List[str]:
         if job is None or job.start_time is None:
             continue
         if job.start_time > promised + _EPS:
-            out.append(
-                f"starvation: {job_id} was promised a start by "
-                f"{promised!r} but started at {job.start_time!r}"
-            )
+            out.append(Violation(
+                "starvation",
+                f"{job_id} was promised a start by "
+                f"{promised!r} but started at {job.start_time!r}",
+            ))
     return out
 
 
-def check_slots(svc: SageService) -> List[str]:
-    """Invariant 4: the shared cluster is quiescent — no leaked slots."""
-    out = [str(v) for v in svc.check_clean()]
-    census = svc.cluster.slot_census()
-    held = {i: c for i, c in census.items() if c}
-    if held:
-        out.append(f"slots: census shows held slots after drain: {held}")
-    return out
-
-
-def check_telemetry(svc: SageService) -> List[str]:
+def check_telemetry(svc: SageService) -> List[Violation]:
     """Invariant 5: probe telemetry on the bus reconciles with job results."""
-    out: List[str] = []
+    out: List[Violation] = []
     stats = svc.stats()
     for job in svc.jobs.values():
         probes = svc.bus.history_for(f"job.{job.id}.probes")
         if job.result is not None:
             if len(probes) != 1:
-                out.append(
-                    f"telemetry: {job.id} published {len(probes)} probe "
-                    "message(s), expected exactly 1"
-                )
+                out.append(Violation(
+                    "telemetry",
+                    f"{job.id} published {len(probes)} probe "
+                    "message(s), expected exactly 1",
+                ))
                 continue
             msg = probes[0]
             if msg.get("job") != job.id:
-                out.append(
-                    f"telemetry: message under {job.id}'s topic names "
-                    f"job {msg.get('job')!r} — cross-job contamination"
-                )
+                out.append(Violation(
+                    "telemetry",
+                    f"message under {job.id}'s topic names "
+                    f"job {msg.get('job')!r} — cross-job contamination",
+                ))
             if msg.get("digest") != job.result.trace_digest:
-                out.append(
-                    f"telemetry: {job.id} bus digest != result digest"
-                )
+                out.append(Violation(
+                    "telemetry", f"{job.id} bus digest != result digest",
+                ))
             if msg.get("events") != job.result.probe_events:
-                out.append(
-                    f"telemetry: {job.id} bus event count "
-                    f"{msg.get('events')} != result {job.result.probe_events}"
-                )
+                out.append(Violation(
+                    "telemetry",
+                    f"{job.id} bus event count "
+                    f"{msg.get('events')} != result {job.result.probe_events}",
+                ))
         elif probes:
-            out.append(
-                f"telemetry: {job.id} never produced a result but has "
-                f"{len(probes)} probe message(s)"
-            )
+            out.append(Violation(
+                "telemetry",
+                f"{job.id} never produced a result but has "
+                f"{len(probes)} probe message(s)",
+            ))
         # Lifecycle messages must only ever name their own job.
         for msg in svc.bus.history_for(f"job.{job.id}.*"):
             if msg.get("job") != job.id:
-                out.append(
-                    f"telemetry: {job.id}'s topic carries a message for "
-                    f"{msg.get('job')!r}"
-                )
+                out.append(Violation(
+                    "telemetry",
+                    f"{job.id}'s topic carries a message for "
+                    f"{msg.get('job')!r}",
+                ))
     counts = svc.bus.counts_by_kind()
     recon = (
         ("started", stats.executed),
@@ -401,87 +367,44 @@ def check_telemetry(svc: SageService) -> List[str]:
     )
     for kind, want in recon:
         if counts.get(kind, 0) != want:
-            out.append(
-                f"telemetry: {counts.get(kind, 0)} {kind!r} messages on the "
-                f"bus but service counted {want}"
-            )
+            out.append(Violation(
+                "telemetry",
+                f"{counts.get(kind, 0)} {kind!r} messages on the "
+                f"bus but service counted {want}",
+            ))
     return out
 
 
 # -- the harness --------------------------------------------------------------
 
-def run_soak(
-    jobs: int = 1000,
-    seed: int = 7,
-    nodes: int = 8,
-    replay: bool = True,
-    isolation: bool = True,
-    progress: Optional[Callable[[str], None]] = None,
-) -> SoakReport:
-    """Drive one soak and evaluate the five invariants.
-
-    ``replay=False`` / ``isolation=False`` skip the two expensive
-    invariants (each re-executes work) — the smoke path for tests that
-    only need the scheduler exercised.
-    """
-    say = progress or (lambda _line: None)
-    report = SoakReport(jobs=jobs, seed=seed, nodes=nodes)
-    workload = generate_workload(jobs, seed)
-    svc = _build_service(nodes, seed)
-    say(f"soak: submitting {jobs} jobs (seed={seed}, nodes={nodes})")
-    _, rejected_at_submit = _drive(svc, workload)
-    stats = svc.stats()
-
+def run_soak(jobs: int = 1000, seed: int = 7, nodes: int = 8) -> SoakReport:
+    """Drive one soak and evaluate the five invariants."""
     from .errors import TimeBudgetExceeded
 
-    report.submitted = stats.submitted
-    report.completed = stats.completed
-    report.failed = stats.failed
-    report.rejected = stats.rejected
-    report.rejected_at_submit = rejected_at_submit
-    report.backfills = stats.backfills
-    report.budget_kills = sum(
-        1 for j in svc.jobs.values()
-        if isinstance(j.error, TimeBudgetExceeded)
+    workload = generate_workload(jobs, seed)
+    svc = _build_service(nodes, seed)
+    rejected_at_submit = _drive(svc, workload)
+    stats = svc.stats()
+    return SoakReport(
+        jobs=jobs,
+        seed=seed,
+        nodes=nodes,
+        service=svc,
+        submitted=stats.submitted,
+        completed=stats.completed,
+        failed=stats.failed,
+        rejected=stats.rejected,
+        rejected_at_submit=rejected_at_submit,
+        backfills=stats.backfills,
+        budget_kills=sum(1 for j in svc.jobs.values()
+                         if isinstance(j.error, TimeBudgetExceeded)),
+        utilization=stats.utilization,
+        mean_wait=stats.mean_wait,
+        violations={
+            "isolation": check_isolation(svc),
+            "determinism": check_determinism(svc, workload, nodes, seed),
+            "quota_no_starvation": check_quota_and_starvation(svc),
+            "zero_leaked_slots": svc.check_clean(),
+            "telemetry": check_telemetry(svc),
+        },
     )
-    report.jobs_per_sec = stats.jobs_per_sec
-    report.wall_seconds = stats.wall_seconds
-    report.virtual_span = stats.virtual_span
-    report.utilization = stats.utilization
-    report.mean_wait = stats.mean_wait
-    report.max_wait = stats.max_wait
-    report.bus_messages = len(svc.bus.history)
-    report.bus_digest = svc.bus.digest()
-    say(
-        f"soak: {report.completed} completed, {report.failed} failed, "
-        f"{report.rejected + rejected_at_submit} rejected, "
-        f"{report.backfills} backfills — "
-        f"{report.jobs_per_sec:.1f} jobs/sec"
-    )
-
-    if isolation:
-        say("soak: invariant 1/5 — isolation vs standalone references")
-        violations, refs = check_isolation(svc)
-        report.reference_runs = refs
-        report.invariants["isolation"] = not violations
-        report.violations += violations
-    if replay:
-        say("soak: invariant 2/5 — determinism replay")
-        violations = check_determinism(svc, workload, nodes, seed)
-        report.invariants["determinism"] = not violations
-        report.violations += violations
-
-    say("soak: invariants 3-5/5 — quotas, slots, telemetry")
-    for name, check in (
-        ("quota_no_starvation", check_quota_and_starvation),
-        ("zero_leaked_slots", check_slots),
-        ("telemetry", check_telemetry),
-    ):
-        violations = check(svc)
-        report.invariants[name] = not violations
-        report.violations += violations
-
-    say(f"soak: {'PASS' if report.ok else 'FAIL'} "
-        f"({sum(report.invariants.values())}/{len(report.invariants)} "
-        "invariants hold)")
-    return report

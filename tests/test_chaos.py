@@ -18,7 +18,7 @@ from repro.chaos import (
     generate_schedule,
 )
 from repro.chaos.schedule import ChaosSchedule
-from repro.chaos.soak import SOAK_POLICIES, run_baseline, run_schedule, soak
+from repro.chaos.soak import SOAK_POLICIES, run_baseline, run_schedule
 from repro.core.runtime.policy import FaultPolicy
 from repro.core.runtime.probes import ProbeEvent, Trace
 from repro.machine.faults import FaultPlan
@@ -150,21 +150,6 @@ def test_probe_stream_catches_violations():
 
 
 # -- the soak -----------------------------------------------------------------
-
-def test_soak_smoke_holds_invariants():
-    outcomes = soak(seed=5, schedules=2,
-                    policies=["fail_fast", "migrate_stragglers"])
-    assert len(outcomes) == 4
-    for o in outcomes:
-        assert o.ok, f"{o.schedule.describe()} under {o.policy}: {o.violations}"
-        if o.expectation == IDENTICAL:
-            assert o.completed
-
-
-def test_soak_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        soak(schedules=1, policies=["best_effort"])
-
 
 def test_taxonomy_tags_cover_all_policies():
     assert set(SOAK_POLICIES) == {

@@ -117,7 +117,7 @@ def test_generate_text_format_requires_nodes(sage_text_path, capsys):
 FAST_STUDIES = [
     "table1", "two-node", "optimized-glue", "knobs", "crossvendor", "atot",
     "period-latency", "code-size", "fault-tolerance", "reconfiguration",
-    "elasticity", "service-soak",
+    "elasticity", "chaos", "service-soak",
 ]
 
 
@@ -148,12 +148,25 @@ def test_every_report_is_owned_by_one_study_subcommand(capsys):
                          "[-h] [--quick] [-o OUTPUT]")
 
 
-def test_service_soak_invariant_violation_exits_1(monkeypatch, tmp_path, capsys):
-    """service-soak is a gate: a violated invariant still prints and writes
+@pytest.mark.parametrize("name, verdict", [
+    ("service-soak", "repro.service.soak.SoakReport.ok"),
+    ("chaos", "repro.chaos.ScheduleOutcome.ok"),
+], ids=["service-soak", "chaos"])
+def test_soak_invariant_violation_exits_1(name, verdict, monkeypatch, tmp_path,
+                                          capsys):
+    """Both soaks are gates: a violated invariant still prints and writes
     the report, then exits 1."""
-    from repro.service.soak import SoakReport
-
-    monkeypatch.setattr(SoakReport, "ok", property(lambda self: False))
-    out = tmp_path / "service_soak.txt"
-    assert main(["service-soak", "--quick", "-o", str(out)]) == 1
+    monkeypatch.setattr(verdict, property(lambda self: False))
+    out = tmp_path / "report.txt"
+    assert main([name, "--quick", "-o", str(out)]) == 1
     assert out.read_text() == capsys.readouterr().out
+
+
+def test_chaos_survives_a_closed_stdout(monkeypatch):
+    """`python -m repro chaos | head` ends quietly, like every subcommand."""
+    class ClosedPipe:
+        def write(self, _text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["chaos"]) == 0

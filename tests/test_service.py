@@ -153,31 +153,6 @@ class TestCli:
         assert submit_main(["--batch", str(batch), "--size", "24"]) == 2
         assert not batch.exists()
 
-    def test_serve_soak_smoke_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "reports" / "service_soak.json"
-        rc = serve_main(["--soak", "--jobs", "25", "--seed", "3",
-                         "-o", str(out)])
-        assert rc == 0
-        report = json.loads(out.read_text())
-        assert report["ok"] is True
-        assert report["violations"] == []
-        assert set(report["invariants"]) == {
-            "isolation", "determinism", "quota_no_starvation",
-            "zero_leaked_slots", "telemetry",
-        }
-        assert report["jobs_per_sec"] > 0
-        assert json.loads(capsys.readouterr().out) == report
-
-    def test_serve_soak_skips_expensive_invariants_on_request(self, tmp_path):
-        out = tmp_path / "soak.json"
-        assert serve_main(["--soak", "--jobs", "10", "--no-replay",
-                          "--no-isolation", "-o", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["ok"] is True
-        assert set(report["invariants"]) == {
-            "quota_no_starvation", "zero_leaked_slots", "telemetry",
-        }
-
     def test_serve_requires_a_mode(self, capsys):
         with pytest.raises(SystemExit):
             serve_main([])

@@ -9,7 +9,6 @@ from repro.service.soak import (
     check_determinism,
     check_isolation,
     check_quota_and_starvation,
-    check_slots,
     check_telemetry,
     default_quotas,
     generate_workload,
@@ -54,7 +53,7 @@ class TestSoak200:
             "zero_leaked_slots": True,
             "telemetry": True,
         }
-        assert soak_200.violations == []
+        assert not any(soak_200.violations.values())
         assert soak_200.ok
 
     def test_workload_actually_exercised_the_scheduler(self, soak_200):
@@ -66,14 +65,8 @@ class TestSoak200:
         assert soak_200.rejected_at_submit > 0    # node-quota rejections
         assert soak_200.budget_kills > 0
         assert soak_200.utilization > 0.5
-        assert soak_200.jobs_per_sec > 0
         assert soak_200.completed + soak_200.failed + soak_200.rejected \
             == soak_200.submitted
-
-    def test_report_dict(self, soak_200):
-        doc = soak_200.to_dict()
-        assert doc["ok"] is True
-        assert doc["bus_digest"]
 
 
 class TestQuotaStress:
@@ -113,7 +106,7 @@ class TestQuotaStress:
         assert svc.cluster.slot_census() == {i: 0 for i in range(8)}
         assert svc.scheduler.active == {}
         assert svc.scheduler.grants == svc.scheduler.releases
-        assert check_slots(svc) == []
+        assert svc.check_clean() == []
 
     def test_backfill_never_starved_fifo_older_jobs(self):
         from repro.service.soak import _build_service, _drive
@@ -138,8 +131,8 @@ class TestInvariantCheckers:
         _drive(svc, generate_workload(5, 1))
         victim = next(j for j in svc.jobs.values() if j.state == "completed")
         object.__setattr__(victim.result, "trace_digest", "forged")
-        violations, _ = check_isolation(svc)
-        assert any("trace_digest" in v for v in violations)
+        violations = check_isolation(svc)
+        assert any("trace_digest" in str(v) for v in violations)
 
     def test_determinism_checker_catches_seed_drift(self):
         from repro.service.soak import _build_service, _drive
@@ -166,7 +159,7 @@ class TestInvariantCheckers:
         assert (
             "determinism: admission order / lease assignments diverged "
             f"(first difference at index {len(granted)})"
-        ) in violations
+        ) in [str(v) for v in violations]
 
     def test_telemetry_checker_catches_cross_job_contamination(self):
         from repro.service.soak import _build_service, _drive
@@ -179,7 +172,7 @@ class TestInvariantCheckers:
         svc.bus.publish(f"job.{b.id}.probes", "telemetry", time=99.0,
                         job=a.id, events=1, sim_events=1, digest="x")
         violations = check_telemetry(svc)
-        assert any("contamination" in v or "expected exactly 1" in v
+        assert any("contamination" in str(v) or "expected exactly 1" in str(v)
                    for v in violations)
 
     def test_quota_checker_catches_overcommit(self):
@@ -193,7 +186,7 @@ class TestInvariantCheckers:
             job_id="jx", tenant="phantom", nodes=(0, 1),
             t_start=0.0, t_end=1.0))
         violations = check_quota_and_starvation(svc)
-        assert any("phantom" in v for v in violations)
+        assert any("phantom" in str(v) for v in violations)
 
 
 def test_soak_default_quotas_clamp_burst():
@@ -203,11 +196,11 @@ def test_soak_default_quotas_clamp_burst():
 
 
 class TestExperimentAndBench:
-    def test_r5_tenant_breakdown_accounts_everyone(self):
-        from repro.experiments.service_soak import run_tenant_breakdown
+    def test_r5_tenant_breakdown_accounts_everyone(self, soak_200):
+        from repro.experiments.service_soak import tenant_breakdown
 
-        rows = run_tenant_breakdown(jobs=40, seed=7)
-        assert sum(r.submitted for r in rows) == 40
+        rows = tenant_breakdown(soak_200)
+        assert sum(r.submitted for r in rows) == 200
         burst = next(r for r in rows if r.tenant == "burst")
         open_rows = [r for r in rows if r.tenant != "burst"]
         # the quota-clamped tenant consumed less than the open tenants' sum
