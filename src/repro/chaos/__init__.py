@@ -22,7 +22,10 @@ must hold regardless of what was injected:
   sends, one sink record per completed iteration.
 
 ``python -m repro chaos [-o FILE]`` runs the soak and prints the committed
-``reports/chaos.txt``; see :mod:`repro.chaos.soak`.
+``reports/chaos.txt``; see :mod:`repro.chaos.soak`.  The package re-exports
+only the schedule and invariant names: the soak runner pulls in the apps,
+codegen and run-time, and callers that need only ``Violation`` or
+``check_quiescent`` (the service and its soak) must not pay for it.
 """
 
 from .schedule import CHAOS_KINDS, ChaosSchedule, generate_schedule
@@ -35,7 +38,6 @@ from .invariants import (
     check_results,
     expected_outcome,
 )
-from .soak import SOAK_POLICIES, ScheduleOutcome, format_soak, run_schedule, soak
 
 __all__ = [
     "CHAOS_KINDS",
@@ -48,9 +50,4 @@ __all__ = [
     "check_quiescent",
     "check_results",
     "expected_outcome",
-    "SOAK_POLICIES",
-    "ScheduleOutcome",
-    "run_schedule",
-    "soak",
-    "format_soak",
 ]

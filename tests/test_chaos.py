@@ -5,6 +5,10 @@ seeded chaos schedule the strongest policy claims to survive completes
 with results bitwise identical to the fault-free run.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -157,6 +161,21 @@ def test_taxonomy_tags_cover_all_policies():
         "grow_restripe", "migrate_stragglers",
     }
     assert len(CHAOS_KINDS) == 9
+
+
+def test_service_soak_import_leaves_the_soak_runner_unloaded():
+    """The service soak needs only the invariants; importing it must not
+    load the chaos soak runner (apps, codegen, run-time) through the
+    package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.service.soak\n"
+         "print('repro.chaos.invariants' in sys.modules,"
+         " 'repro.chaos.soak' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+        capture_output=True, text=True).stdout
+    assert out.split() == ["True", "False"]
 
 
 # -- the centerpiece property -------------------------------------------------

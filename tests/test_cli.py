@@ -150,7 +150,7 @@ def test_every_report_is_owned_by_one_study_subcommand(capsys):
 
 @pytest.mark.parametrize("name, verdict", [
     ("service-soak", "repro.service.soak.SoakReport.ok"),
-    ("chaos", "repro.chaos.ScheduleOutcome.ok"),
+    ("chaos", "repro.chaos.soak.ScheduleOutcome.ok"),
 ], ids=["service-soak", "chaos"])
 def test_soak_invariant_violation_exits_1(name, verdict, monkeypatch, tmp_path,
                                           capsys):

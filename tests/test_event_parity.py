@@ -11,6 +11,14 @@ engine that moves one fails here first, not in the benchmark.
 (Removing events is legitimate, but only in a change that also re-pins the
 benchmark's bus digests; update the table in the same commit.)
 
+The three runs that start a failure detector — ``fft2d_8n_rejoin_grow``,
+``fft2d_8n_straggler_migrate`` and the restripe retry under
+``shrink_restripe`` — were re-pinned lower (10,374 → 5,795, 139,680 →
+89,512, 2,490 → 1,660) when heartbeats stopped being one generator process
+each; their digests did not move.  No service job starts a detector, so
+the bus digests stand, and every detector-free count here (the clean
+goldens, ``FFT2D_256_EVENTS``, ``HAND_MPI``) is as recorded before.
+
 The hand-coded MPI baselines (Table 1.0's denominator), a retried
 ``repro.mpi`` exchange and a retried restripe shipment are pinned the same
 way: event count plus a digest of the virtual timeline, recorded before
@@ -37,8 +45,8 @@ GOLDEN_EVENTS = {
     "cornerturn_4n_clean": 688,
     "fft2d_4n_crash_ckpt": 1251,
     "cornerturn_4n_lossy_retry": 468,
-    "fft2d_8n_rejoin_grow": 10374,
-    "fft2d_8n_straggler_migrate": 139680,
+    "fft2d_8n_rejoin_grow": 5795,
+    "fft2d_8n_straggler_migrate": 89512,
 }
 
 #: (nodes, iterations) -> events, fft2d 256^2 on the CSPI platform,
@@ -155,4 +163,4 @@ def test_restripe_retry_under_shrink_restripe():
     assert len(retries) == 3
     assert digest_of(result) == (
         "3e4f8fbbcc0ed5a5ff9454cc647b172c342c45184b64a6121d6c5cdc0c434957")
-    assert env.events_processed == 2490
+    assert env.events_processed == 1660
