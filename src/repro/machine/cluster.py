@@ -158,14 +158,14 @@ class SimCluster:
         simulated work, so the chaos leak checks (every slot back to zero,
         nobody queued) apply to the service unchanged.  A lease must only
         ever take a *free* slot — double-leasing a node is a scheduler bug
-        and raises instead of queueing.
+        and raises instead of queueing.  The slot is taken without an engine
+        event: the service's environment never runs, so a granted request
+        event would stay parked in its queue for good.
         """
-        node = self.node(index)
-        if node.cpu.count >= node.cpu.capacity:
+        if not self.node(index).cpu.take():
             raise ValueError(
                 f"node {index} CPU slot already held; leases must be disjoint"
             )
-        node.cpu.request()  # free slot: grants synchronously
 
     def release_slot(self, index: int) -> None:
         """Return a leased node's CPU slot to the free state."""

@@ -20,7 +20,7 @@ import hashlib
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-from .messages import BusMessage, canonical_stream, topic_matches
+from .messages import BusMessage, freeze_payload, topic_matches
 
 __all__ = ["EventBus", "Subscription"]
 
@@ -71,6 +71,11 @@ class EventBus:
         self.history_limit = history_limit
         self._history: Deque[BusMessage] = deque(maxlen=history_limit)
         self.published = 0
+        #: Topics, key tuples and flat str/int value tuples seen so far,
+        #: each mapped to itself: every message reuses the first copy.  A
+        #: bounded bus shares nothing, so the table cannot outgrow it.
+        self._shared: Optional[Dict[Any, Any]] = (
+            {} if history_limit is None else None)
 
     # -- subscriptions ---------------------------------------------------
     def subscribe(self, pattern: str,
@@ -96,7 +101,11 @@ class EventBus:
     def publish(self, topic: str, kind: str, time: float = 0.0,
                 **payload: Any) -> BusMessage:
         """Stamp, record, and deliver one message; returns it."""
-        message = BusMessage.make(self._seq, time, topic, kind, payload)
+        shared = self._shared
+        if shared is not None:
+            topic = shared.setdefault(topic, topic)
+        message = BusMessage(self._seq, time, topic, kind,
+                             *freeze_payload(payload, shared))
         self._seq += 1
         self.published += 1
         self._history.append(message)
@@ -128,8 +137,12 @@ class EventBus:
         Only meaningful when the bus was created with an unbounded history
         (the default); a bounded bus hashes its retained window.
         """
-        blob = canonical_stream(self._history)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        sha = hashlib.sha256()
+        sep = b""
+        for m in self._history:
+            sha.update(sep + m.canonical().encode())
+            sep = b"\n"
+        return sha.hexdigest()
 
     def __len__(self) -> int:
         return len(self._history)

@@ -18,8 +18,8 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Tuple
+from dataclasses import FrozenInstanceError
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 __all__ = [
     "BusMessage",
@@ -88,7 +88,28 @@ def _check_value(key: str, value: Any) -> Any:
     )
 
 
-@dataclass(frozen=True)
+def freeze_payload(payload: Dict[str, Any],
+                   shared: Optional[Dict[Any, Any]] = None,
+                   ) -> Tuple[Tuple[str, ...], Tuple[Any, ...]]:
+    """A payload dict as ``(keys, values)``: keys sorted, values checked,
+    lists made tuples.
+
+    With a ``shared`` table the key tuple and every flat value tuple whose
+    items are all ``str`` or ``int`` come back as the first equal tuple the
+    table saw.  Equality of such tuples implies an identical rendering;
+    floats and bools stay out, since ``1 == 1.0 == True`` and
+    ``0.0 == -0.0`` render differently.
+    """
+    keys = tuple(sorted(payload))
+    values = [_check_value(k, payload[k]) for k in keys]
+    if shared is not None:
+        keys = shared.setdefault(keys, keys)
+        for i, v in enumerate(values):
+            if type(v) is tuple and all(type(x) in (str, int) for x in v):
+                values[i] = shared.setdefault(v, v)
+    return keys, tuple(values)
+
+
 class BusMessage:
     """One published record: ``(seq, time, topic, kind, payload)``.
 
@@ -96,35 +117,83 @@ class BusMessage:
     stream has one deterministic total order.  ``time`` is the service's
     *virtual* clock — wall-clock never appears in a message, which is what
     makes replay digests byte-stable.
+
+    A bus keeps every message it publishes, so the record is compact: no
+    per-instance dict, and the payload held as a sorted key tuple (shared
+    by every message with the same key set) beside one values tuple.
+    :attr:`payload` rebuilds the ``(key, value)`` pairs on demand.  Build
+    messages with :meth:`make`; instances are immutable values.
     """
+
+    __slots__ = ("seq", "time", "topic", "kind", "keys", "values")
 
     seq: int
     time: float
     topic: str
     kind: str
-    payload: Tuple[Tuple[str, Any], ...] = field(default_factory=tuple)
+    keys: Tuple[str, ...]
+    values: Tuple[Any, ...]
+
+    def __init__(self, seq: int, time: float, topic: str, kind: str,
+                 keys: Tuple[str, ...], values: Tuple[Any, ...]):
+        init = object.__setattr__
+        init(self, "seq", seq)
+        init(self, "time", time)
+        init(self, "topic", topic)
+        init(self, "kind", kind)
+        init(self, "keys", keys)
+        init(self, "values", values)
 
     @classmethod
     def make(cls, seq: int, time: float, topic: str, kind: str,
              payload: Dict[str, Any]) -> "BusMessage":
-        items = tuple(
-            (k, _check_value(k, v)) for k, v in sorted(payload.items())
-        )
-        return cls(seq=seq, time=time, topic=topic, kind=kind, payload=items)
+        return cls(seq, time, topic, kind, *freeze_payload(payload))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.seq, self.time, self.topic, self.kind, self.keys,
+                self.values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        return (f"BusMessage(seq={self.seq!r}, time={self.time!r}, "
+                f"topic={self.topic!r}, kind={self.kind!r}, "
+                f"payload={self.payload!r})")
+
+    @property
+    def payload(self) -> Tuple[Tuple[str, Any], ...]:
+        """The ``(key, value)`` pairs in key order."""
+        return tuple(zip(self.keys, self.values))
 
     def get(self, key: str, default: Any = None) -> Any:
-        for k, v in self.payload:
-            if k == key:
-                return v
-        return default
+        try:
+            return self.values[self.keys.index(key)]
+        except ValueError:
+            return default
 
     @property
     def payload_dict(self) -> Dict[str, Any]:
-        return dict(self.payload)
+        return dict(zip(self.keys, self.values))
 
     def canonical(self) -> str:
         """Byte-exact one-line rendering (``repr`` pins floats to the bit)."""
-        fields = ",".join(f"{k}={v!r}" for k, v in self.payload)
+        fields = ",".join(
+            f"{k}={v!r}" for k, v in zip(self.keys, self.values))
         return f"{self.seq}|{self.time!r}|{self.topic}|{self.kind}|{fields}"
 
 

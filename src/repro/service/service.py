@@ -366,7 +366,8 @@ class SageService:
                 error=type(job.error).__name__ if job.error else "unknown",
             )
         if job.result is not None:
-            counts = getattr(job, "_probe_counts", ())
+            # The stash goes once published: the bus keeps the only copy.
+            counts = vars(job).pop("_probe_counts", ())
             flat = tuple(x for pair in counts for x in pair)
             self.bus.publish(
                 job_topic(job.id, "probes"), "telemetry", time=self.now,

@@ -12,8 +12,10 @@ from repro.service import (
     TimeBudgetExceeded,
     UnknownJobError,
 )
+from repro.chaos.invariants import check_quiescent
 from repro.service.cli import serve_main, submit_main
 from repro.service.service import run_standalone
+from repro.service.soak import default_quotas, generate_workload
 
 
 def make_service(**kw):
@@ -63,6 +65,35 @@ class TestEndToEnd:
         assert svc.idle
         assert svc.check_clean() == []
         assert svc.cluster.slot_census() == {i: 0 for i in range(8)}
+
+    def test_batches_leave_no_engine_events_behind(self):
+        # The service's own environment never runs: a lease that parked a
+        # granted request event there would pile up one per node per job
+        # until a check_clean() drained them.
+        svc = make_service(quotas=default_quotas())
+        env = svc.env
+        for j in range(3):
+            for spec, offset in generate_workload(20, 7000 + j):
+                try:
+                    svc.submit(spec, at=svc.now + offset)
+                except QuotaExceededError:
+                    pass
+            svc.run()
+            assert svc.scheduler.history
+            assert not (env._imm0 or env._imm1 or env._queue)
+            assert svc.cluster.slot_census() == {i: 0 for i in range(8)}
+        assert env.events_processed == 0
+        assert svc.check_clean() == []
+
+    def test_held_lease_still_caught_by_the_leak_checks(self):
+        svc = make_service()
+        svc.cluster.acquire_slot(3)
+        assert svc.cluster.slot_census()[3] == 1
+        leaks = check_quiescent(svc.env, svc.cluster)
+        assert [v.invariant for v in leaks] == ["no_leaked_slots"]
+        assert "node 3" in leaks[0].detail
+        svc.cluster.release_slot(3)
+        assert check_quiescent(svc.env, svc.cluster) == []
 
     def test_node_quota_rejected_at_submit(self):
         svc = make_service(quotas={"small": TenantQuota(max_nodes=2)})
