@@ -7,8 +7,9 @@ Subpackages
 ``repro.machine``
     Discrete-event simulated hardware: nodes, fabrics, vendor platforms.
 ``repro.mpi``
-    Message-passing library over the simulator (point-to-point, collectives,
-    vendor all-to-all algorithms).
+    Message-passing library over the simulator for the hand-coded baselines
+    (point-to-point, vendor all-to-all algorithms) and the heartbeat failure
+    detector.
 ``repro.kernels``
     ISSPL-style math library (planned FFTs, corner turns, signal primitives).
 ``repro.core.model``

@@ -9,10 +9,8 @@ failure modes it can observe):
   loss/corruption from a seeded RNG;
 * :mod:`repro.mpi` — receive/wait timeouts (:class:`MpiTimeoutError`),
   integrity checking (:class:`CorruptionError` / :class:`TruncationError`),
-  :class:`RetryPolicy`-driven retransmission (:class:`DeliveryError`), the
-  heartbeat :class:`FailureDetector`, and the ULFM-style failure semantics
-  (:class:`ProcessFailedError`, :class:`RevokedError`, ``Communicator.
-  revoke/agree/shrink``);
+  :class:`RetryPolicy`-driven retransmission (:class:`DeliveryError`),
+  and the heartbeat :class:`FailureDetector` the run-time starts;
 * :mod:`repro.core.runtime` — the :class:`FaultPolicy` governing how
   :class:`~repro.core.runtime.SageRuntime` responds: ``fail_fast``,
   ``retry``, ``checkpoint_restart``, ``shrink_restripe``, or
@@ -60,8 +58,6 @@ from .mpi.errors import (
     CorruptionError,
     DeliveryError,
     MpiTimeoutError,
-    ProcessFailedError,
-    RevokedError,
     TruncationError,
 )
 
@@ -91,8 +87,6 @@ __all__ = [
     "CorruptionError",
     "TruncationError",
     "DeliveryError",
-    "ProcessFailedError",
-    "RevokedError",
     "FailureDetector",
     "HeartbeatConfig",
     # runtime layer

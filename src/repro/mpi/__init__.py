@@ -1,8 +1,10 @@
 """In-process message-passing library over the simulated cluster.
 
-Mirrors the vendor MPI implementations of the paper's target platforms:
-point-to-point (blocking and nonblocking), the standard collectives, and the
-vendor-tuned all-to-all algorithms that dominate the corner-turn benchmark.
+Mirrors what the paper's hand-coded baselines (§3.1) use of the vendor MPI
+implementations of its target platforms: point-to-point (blocking and
+nonblocking) and the vendor-tuned all-to-all algorithms that dominate the
+corner-turn benchmark.  The heartbeat failure detector the SAGE run-time
+starts lives here too (:mod:`repro.mpi.detector`).
 """
 
 from .comm import (
@@ -20,13 +22,10 @@ from .errors import (
     DeliveryError,
     MpiError,
     MpiTimeoutError,
-    ProcessFailedError,
     RankError,
-    RevokedError,
     TruncationError,
 )
 from .datatypes import copy_payload, payload_nbytes
-from . import collectives  # noqa: F401  (binds collective methods onto Communicator)
 from .vendor import ALGORITHMS, get_algorithm
 
 __all__ = [
@@ -45,8 +44,6 @@ __all__ = [
     "MpiTimeoutError",
     "CorruptionError",
     "DeliveryError",
-    "ProcessFailedError",
-    "RevokedError",
     "copy_payload",
     "payload_nbytes",
     "ALGORITHMS",

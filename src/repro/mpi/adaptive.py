@@ -9,10 +9,9 @@ deadlines from the observed mean and deviation instead of a constant.
 
 :class:`RttEstimator` is the scalar core: exponentially-weighted moving
 average of samples (``srtt``) plus a mean-deviation estimate (``rttvar``),
-with the standard ``mean + k * dev`` deadline rule.  :class:`AdaptiveTimeout`
-wraps a per-source estimator table for the MPI receive path; the failure
-detector keeps per-peer estimators of heartbeat inter-arrival times and RTT
-probe round trips (see :mod:`repro.mpi.detector`).
+with the standard ``mean + k * dev`` deadline rule.  The failure detector
+keeps per-peer estimators of heartbeat inter-arrival times and RTT probe
+round trips (see :mod:`repro.mpi.detector`).
 
 Everything here is pure arithmetic on observed virtual-time samples — no
 randomness, no simulator state — so determinism is inherited from the
@@ -21,9 +20,9 @@ sample stream.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-__all__ = ["RttEstimator", "AdaptiveTimeout"]
+__all__ = ["RttEstimator"]
 
 
 class RttEstimator:
@@ -93,72 +92,4 @@ class RttEstimator:
         return (
             f"RttEstimator(mean={self.mean:.3g}, dev={self.dev:.3g}, "
             f"n={self.samples})"
-        )
-
-
-class AdaptiveTimeout:
-    """Per-source adaptive receive deadlines for the MPI layer.
-
-    Feed it every matched message's observed delivery latency
-    (``arrived_at - sent_at``); :meth:`deadline` then returns a deadline
-    that tracks the fabric's *current* behaviour — degraded links stretch
-    the deadline instead of tripping it.
-
-    ``margin`` scales the estimate to absorb sender-side compute skew (a
-    receive waits for the sender to *produce* the payload, not just for the
-    wire), ``phi`` is the deviation multiplier, and ``floor`` / ``cap``
-    clamp the result.  With fewer than ``warmup`` samples for a source,
-    :meth:`deadline` returns ``None`` and the caller falls back to its
-    fixed default.
-    """
-
-    def __init__(self, floor: float = 0.0, cap: Optional[float] = None,
-                 margin: float = 3.0, phi: float = 4.0, warmup: int = 2):
-        if margin <= 0 or phi < 0:
-            raise ValueError("margin must be positive and phi non-negative")
-        if warmup < 1:
-            raise ValueError("warmup must be >= 1")
-        if cap is not None and cap <= 0:
-            raise ValueError("cap must be positive or None")
-        self.floor = float(floor)
-        self.cap = cap
-        self.margin = float(margin)
-        self.phi = float(phi)
-        self.warmup = int(warmup)
-        self._by_source: Dict[int, RttEstimator] = {}
-
-    def observe(self, source: int, latency: float) -> None:
-        est = self._by_source.get(source)
-        if est is None:
-            est = self._by_source[source] = RttEstimator()
-        est.observe(latency)
-
-    def estimator(self, source: int) -> Optional[RttEstimator]:
-        return self._by_source.get(source)
-
-    def _clamp(self, value: float) -> float:
-        value = max(value, self.floor)
-        if self.cap is not None:
-            value = min(value, self.cap)
-        return value
-
-    def deadline(self, source: Optional[int] = None) -> Optional[float]:
-        """Adaptive deadline for a receive from ``source``.
-
-        ``source=None`` (ANY_SOURCE) uses the slowest warmed-up source, so
-        a wildcard receive never times out on its laggiest healthy sender.
-        Returns ``None`` when no source has enough samples.
-        """
-        if source is not None:
-            est = self._by_source.get(source)
-            if est is None or est.samples < self.warmup:
-                return None
-            return self._clamp(self.margin * est.deadline(self.phi))
-        warmed = [
-            e for e in self._by_source.values() if e.samples >= self.warmup
-        ]
-        if not warmed:
-            return None
-        return self._clamp(
-            max(self.margin * e.deadline(self.phi) for e in warmed)
         )

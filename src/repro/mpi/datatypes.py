@@ -57,7 +57,7 @@ def copy_payload(data: Any) -> Any:
     if isinstance(data, _SCALARS):
         return data
     if isinstance(data, (tuple, frozenset)) and _deeply_immutable(data):
-        # Control messages (rank tuples, split keys) need no copy at all.
+        # Control messages (rank tuples, small keys) need no copy at all.
         return data
     return pickle.loads(pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL))
 

@@ -233,9 +233,9 @@ class FailureDetector:
     Bound to a :class:`~repro.machine.cluster.SimCluster`; ``start()``
     launches one heartbeat process (and RTT prober) per rank.  Consumers
     subscribe to ``suspect`` / ``clear_suspect`` / ``declare_dead`` events,
-    wait on :meth:`death_event`, or poll :meth:`view`.  Both the MPI layer
-    (:meth:`~repro.mpi.comm.MpiWorld.attach_detector`) and the run-time
-    kernel's ``shrink_restripe`` policy build on this service.
+    wait on :meth:`death_event`, or poll :meth:`view`.  The run-time
+    kernel's ``shrink_restripe`` and ``grow_restripe`` policies build on
+    this service.
     """
 
     def __init__(self, cluster: SimCluster,

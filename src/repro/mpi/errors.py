@@ -7,8 +7,6 @@ __all__ = [
     "MpiTimeoutError",
     "CorruptionError",
     "DeliveryError",
-    "ProcessFailedError",
-    "RevokedError",
 ]
 
 
@@ -27,9 +25,9 @@ class TruncationError(MpiError):
 class MpiTimeoutError(MpiError, TimeoutError):
     """A communication call exceeded its configured deadline.
 
-    Raised by ``recv``/``wait`` (and therefore by any collective built on
-    them) when a timeout is set, instead of wedging the event loop until the
-    simulator's deadlock detector fires.
+    Raised by ``recv``/``wait`` (and therefore by ``alltoall``, which is
+    built on them) when a timeout is set, instead of wedging the event loop
+    until the simulator's deadlock detector fires.
     """
 
 
@@ -39,31 +37,3 @@ class CorruptionError(MpiError):
 
 class DeliveryError(MpiError):
     """A send could not be delivered (lossy/downed link), retries exhausted."""
-
-
-class ProcessFailedError(MpiError):
-    """A peer rank was declared dead by the failure detector (ULFM
-    ``MPI_ERR_PROC_FAILED``).
-
-    Raised by communication with a dead rank: a pending or newly posted
-    receive whose (only possible) sender has been declared dead fails
-    immediately instead of wedging until the global timeout; a receive with
-    ``ANY_SOURCE`` fails once *all* possible senders in the communicator are
-    marked dead.  Survivors typically respond by ``revoke()``-ing the
-    communicator and building a survivor communicator with ``shrink()``.
-    """
-
-    def __init__(self, message: str, ranks=()):
-        super().__init__(message)
-        #: Global ranks known failed when the error was raised.
-        self.ranks = tuple(sorted(ranks))
-
-
-class RevokedError(MpiError):
-    """The communicator was revoked (ULFM ``MPI_ERR_REVOKED``).
-
-    After any rank calls ``Communicator.revoke()``, every pending and future
-    point-to-point or collective operation on that communicator's context
-    raises this error, unblocking ranks stuck in a broken collective so they
-    can reach the recovery path (``agree()`` / ``shrink()`` still work).
-    """

@@ -30,19 +30,22 @@ sent to this rank.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List
 
 from ..perf.cache import named_cache
-from .comm import Communicator
+from .datatypes import payload_nbytes
 from .errors import MpiError
+
+if TYPE_CHECKING:
+    from .comm import Communicator
 
 __all__ = ["get_algorithm", "ALGORITHMS", "alltoall_direct", "alltoall_pairwise",
            "alltoall_ring", "alltoall_bruck", "partner_schedule"]
 
-_TAG = (1 << 20) + 7  # dedicated slice of the collective tag space
+_TAG = (1 << 20) + 7  # reserved range, clear of user point-to-point tags
 
 #: (algorithm, size, rank) -> per-step partner tuples; pure arithmetic on
-#: immutable inputs, recomputed on every collective call otherwise.
+#: immutable inputs, recomputed on every all-to-all call otherwise.
 _SCHEDULE_CACHE = named_cache("mpi.alltoall_schedule", maxsize=4096)
 
 
@@ -148,7 +151,7 @@ def alltoall_bruck(comm: Communicator, blocks: List[Any]) -> Generator:
     size, rank = comm.size, comm.rank
     # Phase 1: local rotation so that block for rank (rank+i)%p sits at slot i.
     work = [blocks[(rank + i) % size] for i in range(size)]
-    yield from comm.copy(sum(_nbytes(b) for b in work))
+    yield from comm.copy(sum(payload_nbytes(b) for b in work))
     # Phase 2: log rounds; in round k send slots whose index has bit k set.
     rounds = partner_schedule("bruck", size, rank)
     for round_no, (_k, send_idx, dest, src) in enumerate(rounds):
@@ -164,7 +167,7 @@ def alltoall_bruck(comm: Communicator, blocks: List[Any]) -> Generator:
     out: List[Any] = [None] * size
     for i in range(size):
         out[(rank - i) % size] = work[i]
-    yield from comm.copy(sum(_nbytes(b) for b in out if b is not None))
+    yield from comm.copy(sum(payload_nbytes(b) for b in out if b is not None))
     return out
 
 
@@ -184,9 +187,3 @@ def get_algorithm(name: str) -> Callable[[Communicator, List[Any]], Generator]:
         raise MpiError(
             f"unknown alltoall algorithm {name!r}; available: {sorted(ALGORITHMS)}"
         ) from None
-
-
-def _nbytes(data: Any) -> int:
-    from .datatypes import payload_nbytes
-
-    return payload_nbytes(data)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine import Environment, SimCluster, SimulationError, cspi
-from repro.mpi import MpiError, MpiWorld
+from repro.mpi import MpiError, MpiTimeoutError, MpiWorld
 
 
 class TestAnyOf:
@@ -65,6 +65,8 @@ class TestAnyOf:
 
 
 class TestRecvTimeout:
+    """``recv(timeout=...)`` waits on an AnyOf of the match and a timeout."""
+
     def make_world(self, nodes=2):
         env = Environment()
         return MpiWorld(SimCluster.from_platform(env, cspi(), nodes))
@@ -76,24 +78,25 @@ class TestRecvTimeout:
             yield from comm.send("hello", dest=1)
 
         def receiver(comm):
-            data, ok = yield from comm.recv_timeout(1.0, source=0)
-            return (data, ok)
+            data = yield from comm.recv(source=0, timeout=1.0)
+            return data
 
         world.spawn_rank(0, sender)
         p = world.spawn_rank(1, receiver)
         world.env.run(until=p)
-        assert p.value == ("hello", True)
+        assert p.value == "hello"
 
     def test_timeout_fires_when_no_message(self):
         world = self.make_world()
 
         def receiver(comm):
-            data, ok = yield from comm.recv_timeout(0.5, source=0)
-            return (data, ok, comm.now)
+            with pytest.raises(MpiTimeoutError):
+                yield from comm.recv(source=0, timeout=0.5)
+            return comm.now
 
         p = world.spawn_rank(1, receiver)
         world.env.run(until=p)
-        assert p.value == (None, False, 0.5)
+        assert p.value == 0.5
 
     def test_late_message_not_lost(self):
         """A message arriving after the timeout must remain receivable."""
@@ -104,8 +107,8 @@ class TestRecvTimeout:
             yield from comm.send("late", dest=1)
 
         def receiver(comm):
-            data, ok = yield from comm.recv_timeout(0.1, source=0)
-            assert not ok
+            with pytest.raises(MpiTimeoutError):
+                yield from comm.recv(source=0, timeout=0.1)
             late = yield from comm.recv(source=0)
             return late
 
@@ -121,8 +124,8 @@ class TestRecvTimeout:
             yield from comm.send("wrong-tag", dest=1, tag=7)
 
         def receiver(comm):
-            data, ok = yield from comm.recv_timeout(0.2, source=0, tag=3)
-            assert not ok
+            with pytest.raises(MpiTimeoutError):
+                yield from comm.recv(source=0, tag=3, timeout=0.2)
             # the tag-7 message is still there
             data = yield from comm.recv(source=0, tag=7)
             return data
@@ -136,8 +139,8 @@ class TestRecvTimeout:
         world = self.make_world()
 
         def receiver(comm):
-            yield from comm.recv_timeout(0)
+            yield from comm.recv(timeout=0)
 
         world.spawn_rank(0, receiver)
-        with pytest.raises(MpiError):
+        with pytest.raises(MpiError, match="timeout must be positive"):
             world.env.run()

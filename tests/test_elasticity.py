@@ -1,9 +1,8 @@
 """Elastic membership: node join, re-grow after shrink, live migration.
 
 Covers the whole stack: simulator/cluster slot hygiene on remove/re-add,
-the detector's join/admission handshake, ULFM-dual ``Communicator.grow``,
-``grow_mapping`` / incremental re-striping, and the run-time's
-``grow_restripe`` policy end to end.
+the detector's join/admission handshake, ``grow_mapping`` / incremental
+re-striping, and the run-time's ``grow_restripe`` policy end to end.
 """
 
 import numpy as np
@@ -26,7 +25,6 @@ from repro.core.runtime.striping import (
 from repro.faults import FaultPlan, FaultPolicy
 from repro.machine import Environment, SimCluster, cspi
 from repro.machine.simulator import SimulationError
-from repro.mpi import MpiWorld
 from repro.mpi.detector import FailureDetector, HeartbeatConfig
 from repro.perf.registry import REGISTRY
 
@@ -223,63 +221,6 @@ class TestJoinProtocol:
             return log
 
         assert trace() == trace()
-
-
-# -- MPI layer: Communicator.grow -------------------------------------------
-
-class TestCommunicatorGrow:
-    @staticmethod
-    def _make_world(nodes=4, plan=None):
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), nodes,
-                                           fault_plan=plan)
-        return MpiWorld(cluster, detector=FailureDetector(cluster))
-
-    def test_shrink_then_grow_restores_membership(self):
-        """The canonical elastic cycle at the MPI layer: fail -> shrink ->
-        replacement powers on -> grow, with rank stability throughout."""
-        plan = (FaultPlan(seed=5)
-                .crash_node(3, at=0.001, permanent=True)
-                .join_node(3, at=0.003))
-        world = self._make_world(4, plan)
-
-        def prog(comm):
-            if comm.rank == 3:
-                if False:
-                    yield
-                return None
-            # Outlive detection, shrink, then outlive the rejoin and grow.
-            yield from comm.world.cluster.node(comm.rank).busy(0.002)
-            shrunk = yield from comm.shrink()
-            yield from comm.world.cluster.node(comm.rank).busy(0.002)
-            grown = yield from shrunk.grow([3])
-            return (shrunk.size, grown.rank, grown.size,
-                    tuple(grown.members))
-
-        world.spawn(prog)
-        results = world.run()
-        assert results[3] is None
-        for r in (0, 1, 2):
-            shrunk_size, rank, size, members = results[r]
-            assert shrunk_size == 3
-            assert size == 4
-            assert members == (0, 1, 2, 3)
-            assert rank == r  # rank stability for survivors
-
-    def test_grow_to_brand_new_world_rank(self):
-        world = self._make_world(4)
-        world.cluster.add_node()  # global rank 4, powered on pre-run
-
-        def prog(comm):
-            grown = yield from comm.grow([4])
-            # The joiner's endpoint into the grown context is reachable.
-            ep = comm.world.endpoint(4, grown.context)
-            return (grown.size, tuple(grown.members), ep.rank)
-
-        world.spawn(prog)
-        for result in world.run():
-            assert result == (5, (0, 1, 2, 3, 4), 4)
-        assert world.size == 5
 
 
 # -- mapping + incremental re-striping ---------------------------------------

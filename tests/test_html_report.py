@@ -1,4 +1,4 @@
-"""HTML report + Request.waitall tests."""
+"""HTML report tests."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.core.codegen import generate_glue
 from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
 from repro.core.visualizer import render_html_report
 from repro.machine import Environment, SimCluster, cspi
-from repro.mpi import MpiWorld, Request
 
 
 @pytest.fixture(scope="module")
@@ -52,39 +51,6 @@ class TestHtmlReport:
         doc = render_html_report(run_result, processors=4, title="<script>x</script>")
         assert "<script>x</script>" not in doc
         assert "&lt;script&gt;" in doc
-
-
-class TestWaitall:
-    def test_waitall_collects_values(self):
-        env = Environment()
-        world = MpiWorld(SimCluster.from_platform(env, cspi(), 2))
-
-        def sender(comm):
-            reqs = [comm.isend(i, dest=1, tag=i) for i in range(5)]
-            yield from Request.waitall(reqs)
-            return "sent"
-
-        def receiver(comm):
-            got = []
-            for i in range(5):
-                got.append((yield from comm.recv(source=0, tag=i)))
-            return got
-
-        world.spawn_rank(0, sender)
-        p = world.spawn_rank(1, receiver)
-        world.env.run(until=p)
-        assert p.value == [0, 1, 2, 3, 4]
-
-    def test_waitall_empty(self):
-        env = Environment()
-        world = MpiWorld(SimCluster.from_platform(env, cspi(), 1))
-
-        def prog(comm):
-            values = yield from Request.waitall([])
-            return values
-
-        world.spawn(prog)
-        assert world.run() == [[]]
 
 
 class TestFaultMarkers:

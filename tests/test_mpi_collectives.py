@@ -1,10 +1,10 @@
-"""Collective-operation semantics tests (validated against numpy equivalents)."""
+"""All-to-all semantics through ``Communicator.alltoall``."""
 
 import numpy as np
 import pytest
 
 from repro.machine import Environment, SimCluster, cspi
-from repro.mpi import MpiError, MpiWorld, RankError
+from repro.mpi import MpiError, MpiWorld
 
 
 def run_collective(nodes, prog):
@@ -12,130 +12,6 @@ def run_collective(nodes, prog):
     world = MpiWorld(SimCluster.from_platform(env, cspi(), nodes))
     world.spawn(prog)
     return world.run()
-
-
-@pytest.mark.parametrize("nodes", [1, 2, 3, 4, 7, 8])
-def test_barrier_synchronises(nodes):
-    arrival_spread = []
-
-    def prog(comm):
-        # Stagger entry times.
-        yield comm.env.timeout(comm.rank * 0.01)
-        yield from comm.barrier()
-        arrival_spread.append(comm.now)
-
-    run_collective(nodes, prog)
-    # Everyone leaves the barrier no earlier than the last entrant.
-    assert min(arrival_spread) >= (nodes - 1) * 0.01
-
-
-@pytest.mark.parametrize("nodes", [1, 2, 3, 4, 5, 8])
-@pytest.mark.parametrize("root", [0, "last"])
-def test_bcast_delivers_to_all(nodes, root):
-    root = nodes - 1 if root == "last" else 0
-    payload = np.arange(16, dtype=np.float32)
-
-    def prog(comm):
-        data = payload if comm.rank == root else None
-        out = yield from comm.bcast(data, root=root)
-        return out
-
-    results = run_collective(nodes, prog)
-    for r in results:
-        assert np.array_equal(r, payload)
-
-
-@pytest.mark.parametrize("nodes", [2, 4, 8])
-def test_scatter_distributes_chunks(nodes):
-    def prog(comm):
-        chunks = [f"chunk{i}" for i in range(comm.size)] if comm.rank == 0 else None
-        mine = yield from comm.scatter(chunks, root=0)
-        return mine
-
-    assert run_collective(nodes, prog) == [f"chunk{i}" for i in range(nodes)]
-
-
-def test_scatter_wrong_chunk_count_raises():
-    def prog(comm):
-        chunks = ["only-one"] if comm.rank == 0 else None
-        yield from comm.scatter(chunks, root=0)
-
-    with pytest.raises(MpiError):
-        run_collective(2, prog)
-
-
-@pytest.mark.parametrize("nodes", [2, 3, 8])
-def test_gather_collects_in_rank_order(nodes):
-    def prog(comm):
-        out = yield from comm.gather(comm.rank * 10, root=0)
-        return out
-
-    results = run_collective(nodes, prog)
-    assert results[0] == [i * 10 for i in range(nodes)]
-    assert all(r is None for r in results[1:])
-
-
-@pytest.mark.parametrize("nodes", [2, 3, 4, 8])
-def test_allgather_everyone_gets_everything(nodes):
-    def prog(comm):
-        out = yield from comm.allgather(comm.rank + 100)
-        return out
-
-    results = run_collective(nodes, prog)
-    expected = [i + 100 for i in range(nodes)]
-    assert all(r == expected for r in results)
-
-
-@pytest.mark.parametrize("nodes", [2, 3, 4, 7, 8])
-@pytest.mark.parametrize("op,combine", [("sum", np.add), ("max", np.maximum), ("min", np.minimum)])
-def test_reduce_matches_numpy(nodes, op, combine):
-    rng = np.random.default_rng(42)
-    contributions = [rng.normal(size=8) for _ in range(nodes)]
-
-    def prog(comm):
-        out = yield from comm.reduce(contributions[comm.rank], op=op, root=0)
-        return out
-
-    results = run_collective(nodes, prog)
-    expected = contributions[0]
-    for c in contributions[1:]:
-        expected = combine(expected, c)
-    np.testing.assert_allclose(results[0], expected)
-    assert all(r is None for r in results[1:])
-
-
-def test_reduce_unknown_op_raises():
-    def prog(comm):
-        yield from comm.reduce(1.0, op="xor", root=0)
-
-    with pytest.raises(MpiError):
-        run_collective(2, prog)
-
-
-@pytest.mark.parametrize("nodes", [2, 3, 4, 8])
-def test_allreduce_sum_everyone_agrees(nodes):
-    def prog(comm):
-        out = yield from comm.allreduce(np.full(4, float(comm.rank + 1)), op="sum")
-        return out
-
-    results = run_collective(nodes, prog)
-    expected = np.full(4, sum(range(1, nodes + 1)), dtype=float)
-    for r in results:
-        np.testing.assert_allclose(r, expected)
-
-
-def test_allreduce_results_bit_identical_across_ranks():
-    # Fixed combine order must make all ranks agree exactly, not just approx.
-    rng = np.random.default_rng(7)
-    contributions = [rng.normal(size=64) for _ in range(8)]
-
-    def prog(comm):
-        out = yield from comm.allreduce(contributions[comm.rank], op="sum")
-        return out
-
-    results = run_collective(8, prog)
-    for r in results[1:]:
-        assert np.array_equal(r, results[0])
 
 
 @pytest.mark.parametrize("nodes", [2, 4, 8])
@@ -158,36 +34,43 @@ def test_alltoall_wrong_block_count():
         run_collective(4, prog)
 
 
-def test_bcast_bad_root():
+def test_alltoall_variable_blocks():
     def prog(comm):
-        yield from comm.bcast(1, root=9)
+        # block for destination d has d+1 elements tagged with the source
+        blocks = [np.full(d + 1, float(comm.rank)) for d in range(comm.size)]
+        out = yield from comm.alltoall(blocks)
+        return [(x.size, x[0]) for x in out]
 
-    with pytest.raises(RankError, match="out of range"):
-        run_collective(2, prog)
+    results = run_collective(4, prog)
+    for d, received in enumerate(results):
+        assert received == [(d + 1, float(s)) for s in range(4)]
 
 
 def test_consecutive_collectives_do_not_cross_match():
+    # "direct" receives from ANY_SOURCE, so only the per-call tag slice keeps
+    # a fast rank's second all-to-all out of a slow rank's first.
     def prog(comm):
-        a = yield from comm.allgather(("a", comm.rank))
-        b = yield from comm.allgather(("b", comm.rank))
+        yield comm.env.timeout(comm.rank * 1e-4)
+        a = yield from comm.alltoall([("a", comm.rank)] * comm.size, algorithm="direct")
+        b = yield from comm.alltoall([("b", comm.rank)] * comm.size, algorithm="direct")
         return (a, b)
 
     results = run_collective(4, prog)
     for a, b in results:
-        assert all(x[0] == "a" for x in a)
-        assert all(x[0] == "b" for x in b)
+        assert a == [("a", s) for s in range(4)]
+        assert b == [("b", s) for s in range(4)]
 
 
 def test_collective_mixed_with_user_p2p_tags():
     def prog(comm):
         if comm.rank == 0:
             yield from comm.send("user", dest=1, tag=0)
-        total = yield from comm.allreduce(1, op="sum")
+        out = yield from comm.alltoall([comm.rank] * comm.size, algorithm="direct")
         if comm.rank == 1:
             extra = yield from comm.recv(source=0, tag=0)
-            return (total, extra)
-        return (total, None)
+            return (out, extra)
+        return (out, None)
 
     results = run_collective(2, prog)
-    assert results[0][0] == 2
-    assert results[1] == (2, "user")
+    assert results[0] == ([0, 1], None)
+    assert results[1] == ([0, 1], "user")

@@ -101,21 +101,21 @@ def test_recv_msg_reports_envelope():
     assert p.value == (0, 5, 3, b"xyz")
 
 
-def test_isend_irecv_requests():
+def test_isend_request_completes_once_buffered():
     world = make_world(2)
 
     def prog(comm):
         if comm.rank == 0:
             req = comm.isend(np.ones(4), dest=1)
+            assert not req.complete
             yield from req.wait()
-            return True
-        req = comm.irecv(source=0)
-        data = yield from req.wait()
+            return req.complete
+        data = yield from comm.recv(source=0)
         return data.sum()
 
     world.spawn(prog)
     results = world.run()
-    assert results[1] == 4.0
+    assert results == [True, 4.0]
 
 
 def test_sendrecv_pair_exchange_no_deadlock():
@@ -229,23 +229,6 @@ def test_traffic_accounting():
     assert world.total_bytes == 100
     assert world.comms[0].bytes_sent == 100
     assert world.comms[1].bytes_sent == 0
-
-
-def test_probe_nonblocking():
-    world = make_world(2)
-
-    def sender(comm):
-        yield from comm.send("hello", dest=1, tag=3)
-
-    def receiver(comm):
-        assert comm.probe() is None
-        yield from comm.recv(source=0, tag=3)  # ensure arrival ordering
-        return True
-
-    world.spawn_rank(0, sender)
-    p = world.spawn_rank(1, receiver)
-    world.env.run(until=p)
-    assert p.value is True
 
 
 def test_many_ranks_ring_pass():

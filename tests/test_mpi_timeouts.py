@@ -5,13 +5,11 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.machine import Environment, SimCluster, cspi
-from repro.machine.simulator import Event
 from repro.mpi import (
     CorruptionError,
     DeliveryError,
     MpiTimeoutError,
     MpiWorld,
-    Request,
     RetryPolicy,
     TruncationError,
 )
@@ -80,29 +78,30 @@ class TestRecvTimeout:
     def test_request_wait_timeout(self):
         world = make_world(2)
 
-        def silent(comm):
-            if False:
-                yield
-
-        def receiver(comm):
-            req = comm.irecv(source=0, tag=1)
+        def sender(comm):
+            # 8 MB takes far longer than 5 ms on the wire
+            req = comm.isend(np.zeros(1 << 20), dest=1, tag=1)
             with pytest.raises(MpiTimeoutError, match="did not complete"):
                 yield from req.wait(timeout=0.005)
+            yield from req.wait()
             return "survived"
 
-        world.spawn_rank(0, silent)
+        def receiver(comm):
+            yield from comm.recv(source=0, tag=1)
+
+        world.spawn_rank(0, sender)
         world.spawn_rank(1, receiver)
-        assert world.run()[1] == "survived"
+        assert world.run()[0] == "survived"
 
     def test_collectives_inherit_default_timeout(self):
-        """Collectives are built on recv, so a rank that never joins makes
-        the others time out rather than hang forever."""
+        """alltoall is built on recv, so a rank that never joins makes the
+        others time out rather than hang forever."""
         world = make_world(4, default_timeout=0.01)
 
         def prog(comm):
             if comm.rank == 3:
-                return "deserter"  # never joins the barrier
-            yield from comm.barrier()
+                return "deserter"  # never joins the all-to-all
+            yield from comm.alltoall([comm.rank] * comm.size)
 
         world.spawn(prog)
         with pytest.raises(MpiTimeoutError):
@@ -123,40 +122,6 @@ class TestIntegrity:
         world.spawn_rank(1, receiver)
         with pytest.raises(TruncationError, match="8192 bytes exceeds"):
             world.run()
-
-    def test_truncation_error_through_irecv_wait(self):
-        world = make_world(2)
-
-        def sender(comm):
-            yield from comm.send(np.zeros(1024, dtype=np.float64), dest=1)
-
-        def receiver(comm):
-            req = comm.irecv(source=0, max_bytes=512)
-            try:
-                yield from req.wait()
-            except TruncationError:
-                return "truncated"
-            return "oops"
-
-        world.spawn_rank(0, sender)
-        world.spawn_rank(1, receiver)
-        assert world.run()[1] == "truncated"
-
-    def test_request_test_raises_on_failed_operation(self):
-        """MPI_Test semantics: a failed operation surfaces its error at
-        test(), not as a value."""
-        env = Environment()
-        ev = Event(env)
-        ev.fail(TruncationError("buffer too small"))
-        env.run()
-        req = Request(env, ev)
-        with pytest.raises(TruncationError, match="buffer too small"):
-            req.test()
-
-    def test_request_test_before_completion(self):
-        env = Environment()
-        req = Request(env, Event(env))
-        assert req.test() == (False, None)
 
     def test_corruption_detected_at_receive(self):
         world = make_world(2, plan=FaultPlan(seed=1).message_corruption(0.999))
@@ -235,15 +200,3 @@ class TestSendRetry:
         world.spawn_rank(0, sender)
         world.spawn_rank(1, receiver)
         assert world.run() == ["sent", "timed-out"]
-
-    def test_split_inherits_timeout_and_retry(self):
-        world = make_world(
-            4, default_timeout=0.25, retry_policy=RetryPolicy(max_attempts=2)
-        )
-
-        def prog(comm):
-            sub = yield from comm.split(color=comm.rank % 2)
-            return (sub.default_timeout, sub.retry_policy.max_attempts)
-
-        world.spawn(prog)
-        assert world.run() == [(0.25, 2)] * 4

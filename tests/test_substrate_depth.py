@@ -170,30 +170,6 @@ class TestAdmissionInteractions:
 
 
 class TestCollectivePayloadProperties:
-    @given(
-        st.lists(
-            st.one_of(
-                st.integers(-1000, 1000),
-                st.text(max_size=8),
-                st.tuples(st.integers(), st.integers()),
-            ),
-            min_size=4,
-            max_size=4,
-        )
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_allgather_arbitrary_payloads(self, payloads):
-        env = Environment()
-        world = MpiWorld(SimCluster.from_platform(env, cspi(), 4))
-
-        def prog(comm):
-            out = yield from comm.allgather(payloads[comm.rank])
-            return out
-
-        world.spawn(prog)
-        results = world.run()
-        assert all(r == payloads for r in results)
-
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_alltoall_random_matrices_roundtrip(self, seed):
