@@ -175,6 +175,32 @@ class TestInvariantCheckers:
         assert any("contamination" in str(v) or "expected exactly 1" in str(v)
                    for v in violations)
 
+    def test_telemetry_checker_catches_a_missing_probes_message(self):
+        from repro.service.soak import _build_service, _drive
+
+        svc = _build_service(4, 1)
+        _drive(svc, generate_workload(4, 1))
+        assert check_telemetry(svc) == []
+        victim = next(j for j in svc.jobs.values() if j.result is not None)
+        history = svc.bus._history
+        kept = [m for m in history if m.topic != f"job.{victim.id}.probes"]
+        assert len(kept) == len(history) - 1
+        history.clear()
+        history.extend(kept)
+        assert [str(v) for v in check_telemetry(svc)] == [
+            f"telemetry: {victim.id} published 0 probe message(s), "
+            "expected exactly 1"]
+
+    def test_telemetry_checker_catches_a_lifecycle_message_for_another_job(self):
+        from repro.service.soak import _build_service, _drive
+
+        svc = _build_service(4, 1)
+        _drive(svc, generate_workload(4, 1))
+        a, b = list(svc.jobs.values())[:2]
+        svc.bus.publish(f"job.{b.id}.lifecycle", "note", time=99.0, job=a.id)
+        assert [str(v) for v in check_telemetry(svc)] == [
+            f"telemetry: {b.id}'s topic carries a message for {a.id!r}"]
+
     def test_quota_checker_catches_overcommit(self):
         from repro.service.scheduler import Lease
         from repro.service.soak import _build_service, _drive
