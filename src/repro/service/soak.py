@@ -36,6 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..chaos.invariants import Violation
 from .jobs import JobSpec
+from .messages import BusMessage
 from .scheduler import TenantQuota, _EPS
 from .service import SageService, run_standalone
 
@@ -316,11 +317,21 @@ def check_quota_and_starvation(svc: SageService) -> List[Violation]:
 
 
 def check_telemetry(svc: SageService) -> List[Violation]:
-    """Invariant 5: probe telemetry on the bus reconciles with job results."""
+    """Invariant 5: probe telemetry on the bus reconciles with job results.
+
+    One pass groups the bus history by job: ``job.<id>.<channel>`` topics
+    under ``job.<id>``, the key ``history_for("job.<id>.*")`` matches on
+    (job ids carry no dots or wildcards).
+    """
     out: List[Violation] = []
     stats = svc.stats()
+    by_job: Dict[str, List[BusMessage]] = {}
+    for msg in svc.bus.history:
+        by_job.setdefault(msg.topic.rpartition(".")[0], []).append(msg)
     for job in svc.jobs.values():
-        probes = svc.bus.history_for(f"job.{job.id}.probes")
+        own = by_job.get(f"job.{job.id}", [])
+        probes_topic = f"job.{job.id}.probes"
+        probes = [m for m in own if m.topic == probes_topic]
         if job.result is not None:
             if len(probes) != 1:
                 out.append(Violation(
@@ -353,7 +364,7 @@ def check_telemetry(svc: SageService) -> List[Violation]:
                 f"{len(probes)} probe message(s)",
             ))
         # Lifecycle messages must only ever name their own job.
-        for msg in svc.bus.history_for(f"job.{job.id}.*"):
+        for msg in own:
             if msg.get("job") != job.id:
                 out.append(Violation(
                     "telemetry",
