@@ -17,7 +17,7 @@ from repro.core.codegen import generate_glue
 from repro.core.model import ApplicationModel, DataType, FunctionBlock, striped
 from repro.core.runtime import SageRuntime
 from repro.kernels import conv2d_fft
-from repro.machine import Environment, SimCluster, get_platform
+from repro.machine import get_platform
 
 N = 64
 NODES = 4
@@ -67,9 +67,7 @@ def image_filter_model() -> ApplicationModel:
 def main():
     app = image_filter_model()
     glue = generate_glue(app, benchmark_mapping(app, NODES), num_processors=NODES)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, get_platform("cspi"), NODES)
-    runtime = SageRuntime(glue, cluster)
+    runtime = SageRuntime.build(glue, get_platform("cspi"))
     image = make_image()
     result = runtime.run(iterations=1, input_provider=lambda k: image)
     got = result.full_result(0)

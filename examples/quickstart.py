@@ -15,7 +15,7 @@ from repro.apps import MatrixProvider, benchmark_mapping, fft2d_model
 from repro.core.codegen import generate_glue
 from repro.core.runtime import SageRuntime
 from repro.core.visualizer import run_report
-from repro.machine import Environment, SimCluster, cspi
+from repro.machine import cspi
 
 N = 64        # matrix size (power of two)
 NODES = 4     # processors of the target machine
@@ -41,9 +41,7 @@ def main():
 
     # 4. Execute on the simulated CSPI machine (§3.2: quad-PPC 603e boards
     #    over 160 MB/s Myrinet).
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), NODES)
-    runtime = SageRuntime(glue, cluster)
+    runtime = SageRuntime.build(glue, cspi())
     provider = MatrixProvider(N, seed=42)
     result = runtime.run(iterations=3, input_provider=provider)
 

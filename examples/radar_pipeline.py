@@ -24,7 +24,7 @@ from repro.core.model import (
 from repro.core.runtime import SageRuntime
 from repro.core.visualizer import run_report, run_summary
 from repro.kernels import chirp_waveform
-from repro.machine import Environment, SimCluster, get_platform
+from repro.machine import get_platform
 
 PULSES = 64     # pulses per CPI (power of two for the Doppler FFT)
 RANGES = 64     # range gates (power of two for pulse compression)
@@ -88,9 +88,7 @@ def main():
           f"comm {atot.breakdown.comm_bytes / 1e3:.0f} kB/iteration")
 
     glue = generate_glue(app, atot.mapping, num_processors=NODES)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, platform, NODES)
-    runtime = SageRuntime(glue, cluster)
+    runtime = SageRuntime.build(glue, platform)
     result = runtime.run(iterations=2, input_provider=lambda k: make_cpi(k))
 
     # Verify detections: the detection map is doppler x range.

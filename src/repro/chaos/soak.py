@@ -18,10 +18,10 @@ from typing import Callable, Dict, List, Optional
 
 from ..apps import MatrixProvider, benchmark_mapping, corner_turn_model
 from ..core.codegen import generate_glue
-from ..core.runtime import DEFAULT_CONFIG, SageRuntime
+from ..core.runtime import SageRuntime
 from ..core.runtime.kernel import RunResult, RuntimeError_
 from ..core.runtime.policy import TransportError, FaultPolicy
-from ..machine import Environment, SimCluster, get_platform
+from ..machine import get_platform
 from ..machine.faults import FaultError, FaultPlan
 from .invariants import (
     IDENTICAL,
@@ -80,11 +80,8 @@ def _build_runtime(
     app = corner_turn_model(n, nodes)
     glue = generate_glue(app, benchmark_mapping(app, nodes),
                          num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, get_platform("cspi"), nodes,
-                                       fault_plan=plan)
-    return SageRuntime(glue, cluster, config=DEFAULT_CONFIG,
-                       fault_policy=policy)
+    return SageRuntime.build(glue, get_platform("cspi"), fault_plan=plan,
+                             fault_policy=policy)
 
 
 def run_baseline(n: int = 16, nodes: int = 2, iterations: int = 3) -> RunResult:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ...machine.cluster import SimCluster
+from ...machine.faults import FaultPlan
 from ...machine.interconnect import FabricSpec
 from ...machine.node import CpuSpec
 from ...machine.platforms import PlatformSpec, get_platform
@@ -87,8 +88,11 @@ class HardwareModel(ModelObject):
             raise ModelError(f"hardware model {self.name!r} has no processors")
 
     # -- materialisation ----------------------------------------------------
-    def build_cluster(self, env: Environment) -> SimCluster:
-        """Materialise this hardware model as a simulated cluster.
+    def build_cluster(
+        self, env: Environment, fault_plan: Optional[FaultPlan] = None
+    ) -> SimCluster:
+        """Materialise this hardware model as a simulated cluster, with
+        ``fault_plan``'s faults injected.
 
         Heterogeneous boards are supported: each node gets its processor's
         own :class:`CpuSpec` (AToT's objectives weight loads accordingly).
@@ -102,6 +106,7 @@ class HardwareModel(ModelObject):
             nodes=len(procs),
             board_map=self.board_map(),
             name=self.name,
+            fault_plan=fault_plan,
         )
 
 

@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ...machine.cluster import SimCluster
-from ...machine.faults import FaultError, NodeFailure, TransientError
+from ...machine.faults import FaultError, FaultPlan, NodeFailure, TransientError
+from ...machine.platforms import PlatformSpec
 from ...machine.simulator import Environment, Event, Interrupt, Process
 from ...mpi.detector import FailureDetector, HeartbeatConfig
 from ...perf.cache import cache_scope
 from ...perf.registry import REGISTRY
 from ..codegen.generator import GlueModule
+from ..model.hardware import HardwareModel
 from ..model.mapping import Mapping, grow_mapping, shrink_mapping
 from .buffers import (
     RuntimeBuffer,
@@ -111,7 +113,8 @@ class RunResult:
 
 
 class SageRuntime:
-    """Executes one glue module on one simulated cluster."""
+    """Executes one glue module on one simulated cluster; :meth:`build`
+    loads the glue onto a fresh one, the one way a design is run."""
 
     def __init__(
         self,
@@ -137,7 +140,7 @@ class SageRuntime:
         self.bindings = dict(default_bindings())
         if bindings:
             self.bindings.update(bindings)
-        self.trace = trace if trace is not None else Trace()
+        self.trace = trace if trace is not None else Trace(job=job_scope or "")
         self.fault_policy = policy = fault_policy if fault_policy is not None else FAIL_FAST
         #: Retry rule of every message shipped (attempts, backoff, factor).
         self._retry_rule = (1 + (policy.max_retries if policy.retries_transfers else 0),
@@ -226,6 +229,30 @@ class SageRuntime:
         self._buf_send_remote, self._buf_recv_remote = remote_traffic_tables(
             self.buffers, self.processor_of
         )
+
+    @classmethod
+    def build(
+        cls,
+        glue: GlueModule,
+        machine: Union[PlatformSpec, HardwareModel],
+        *,
+        fault_plan: Optional[FaultPlan] = None,
+        fault_policy: Optional[FaultPolicy] = None,
+        config: RuntimeConfig = DEFAULT_CONFIG,
+        job_scope: Optional[str] = None,
+    ) -> "SageRuntime":
+        """Load ``glue`` onto a fresh engine and cluster of ``machine`` — a
+        platform (``glue.num_processors`` nodes of it) or a hardware model —
+        with ``fault_plan``'s faults injected.  Returned unrun, so ``env``
+        (engine stats), ``cluster`` and ``trace`` outlive a run that raises."""
+        env = Environment()
+        if isinstance(machine, PlatformSpec):
+            cluster = SimCluster.from_platform(
+                env, machine, glue.num_processors, fault_plan=fault_plan)
+        else:
+            cluster = machine.build_cluster(env, fault_plan=fault_plan)
+        return cls(glue, cluster, config=config, fault_policy=fault_policy,
+                   job_scope=job_scope)
 
     # -- setup helpers ---------------------------------------------------------
     def _identify_endpoints(self) -> None:

@@ -77,7 +77,7 @@ class AtotStudyRow:
 
 def _simulate(app, mapping: Mapping, nodes: int, platform) -> float:
     glue = generate_glue(app, mapping, num_processors=nodes)
-    return run_glue(glue, platform, nodes, iterations=3).mean_latency
+    return run_glue(glue, platform, iterations=3).mean_latency
 
 
 def run_atot_study(

@@ -171,7 +171,7 @@ def run_elastic_recovery(
 
         # Same-policy fault-free baseline so detector overheads cancel out
         # of the throughput comparison.
-        base = run_glue(glue, platform, nodes, iterations,
+        base = run_glue(glue, platform, iterations,
                         policy=FaultPolicy.grow_restripe())
         base_rate = _steady_rate(base.sink_times, -1.0)
 
@@ -185,9 +185,8 @@ def run_elastic_recovery(
 
         for k in replace_counts:
             # Degraded reference: the same kills, never re-grown.
-            degraded = run_glue(
-                glue, platform, nodes, iterations, kills(k),
-                FaultPolicy.shrink_restripe(max_restarts=k + 2))
+            degraded = run_glue(glue, platform, iterations, kills(k),
+                                FaultPolicy.shrink_restripe(max_restarts=k + 2))
             restripes = degraded.trace.by_kind("restripe")
             degraded_rate = _steady_rate(
                 degraded.sink_times,
@@ -200,9 +199,8 @@ def run_elastic_recovery(
                                at=base.makespan * (0.62 + 0.05 * i))
             before = dict(REGISTRY.snapshot()["counters"])
             try:
-                result = run_glue(
-                    glue, platform, nodes, iterations, plan,
-                    FaultPolicy.grow_restripe(max_restarts=k + 2))
+                result = run_glue(glue, platform, iterations, plan,
+                                  FaultPolicy.grow_restripe(max_restarts=k + 2))
             except Exception:
                 points.append(ElasticPoint(
                     app=app_name, nodes=nodes, replaced=k, completed=False,

@@ -78,7 +78,7 @@ def run_fault_tolerance(
             retries = restores = 0
             for seed in seeds:
                 try:
-                    result = run_glue(glue, platform, nodes, iterations,
+                    result = run_glue(glue, platform, iterations,
                                       make_plan(seed), policy)
                 except RECOVERABLE_FAULTS:
                     continue  # run died: counts against the completion rate
@@ -100,7 +100,7 @@ def run_fault_tolerance(
             )
 
         # Fault-free baseline (identical for every seed: the plan is empty).
-        base = run_glue(glue, platform, nodes, iterations)
+        base = run_glue(glue, platform, iterations)
         baseline_ms = base.makespan * 1e3
         points.append(FaultPoint(
             app=app_name, scenario="fault-free", policy="fail_fast",

@@ -207,7 +207,7 @@ def run_straggler_throughput(
         return plan
 
     # Clean reference: same checkpointing machinery, no detector probes.
-    clean = run_glue(glue, platform, nodes, iterations,
+    clean = run_glue(glue, platform, iterations,
                      policy=FaultPolicy.checkpoint_restart())
     clean_period = steady_period(clean.sink_times[iterations // 3:])
     points = [ThroughputPoint(
@@ -216,8 +216,7 @@ def run_straggler_throughput(
     )]
     tail_skip = iterations // 2
     for count in limp_counts:
-        unmigrated = run_glue(glue, platform, nodes, iterations,
-                              limp_plan(count),
+        unmigrated = run_glue(glue, platform, iterations, limp_plan(count),
                               FaultPolicy.checkpoint_restart())
         p = steady_period(unmigrated.sink_times[tail_skip:])
         points.append(ThroughputPoint(
@@ -225,8 +224,7 @@ def run_straggler_throughput(
             ratio=clean_period / p if p else math.nan,
             suspects=0, migrations=0, false_dead=0,
         ))
-        migrated = run_glue(glue, platform, nodes, iterations,
-                            limp_plan(count),
+        migrated = run_glue(glue, platform, iterations, limp_plan(count),
                             FaultPolicy.migrate_stragglers())
         p = steady_period(migrated.sink_times[tail_skip:])
         points.append(ThroughputPoint(

@@ -17,7 +17,7 @@ from typing import List
 from ..apps import benchmark_mapping, fft2d_model
 from ..core.codegen import generate_glue
 from ..core.runtime import DEFAULT_CONFIG, SageRuntime
-from ..machine import Environment, SimCluster, get_platform
+from ..machine import get_platform
 
 __all__ = ["PeriodLatencyPoint", "run_period_latency", "format_period_latency"]
 
@@ -37,10 +37,8 @@ def run_period_latency(
     glue = generate_glue(app, benchmark_mapping(app, nodes), num_processors=nodes)
 
     def run(config, source_interval=0.0):
-        env = Environment()
-        cluster = SimCluster.from_platform(env, platform, nodes)
-        runtime = SageRuntime(glue, cluster, config=config)
-        return runtime.run(iterations=iterations, source_interval=source_interval)
+        return SageRuntime.build(glue, platform, config=config).run(
+            iterations=iterations, source_interval=source_interval)
 
     base = DEFAULT_CONFIG.timing_only()
     points = []

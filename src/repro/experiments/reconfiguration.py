@@ -162,7 +162,7 @@ def run_shrink_recovery(
         app = builder(size, nodes)
         glue = generate_glue(app, benchmark_mapping(app, nodes),
                              num_processors=nodes)
-        base = run_glue(glue, platform, nodes, iterations)
+        base = run_glue(glue, platform, iterations)
         baseline_ms = base.makespan * 1e3
         baseline_tp = iterations / base.makespan
 
@@ -176,8 +176,7 @@ def run_shrink_recovery(
                                 permanent=True)
             policy = FaultPolicy.shrink_restripe(max_restarts=kills + 2)
             try:
-                result = run_glue(glue, platform, nodes, iterations,
-                                  plan, policy)
+                result = run_glue(glue, platform, iterations, plan, policy)
             except Exception:
                 points.append(ShrinkPoint(
                     app=app_name, nodes=nodes, killed=kills, completed=False,

@@ -16,8 +16,10 @@ boards) is a small multiplicative term, seeded by a stable digest of the
 configuration, applied to that one result so the 10-run averaging
 machinery is exercised honestly.
 
-The fault-era studies share the rest: :func:`run_glue` (one faulted run),
-:func:`start_detector`, :func:`steady_period` and :func:`mean_detect_ms`.
+The fault-era studies share the rest: :func:`run_glue` (one timing-only
+:meth:`SageRuntime.build <repro.core.runtime.SageRuntime.build>` run, faults
+and policy optional), :func:`start_detector`, :func:`steady_period` and
+:func:`mean_detect_ms`.
 """
 
 from __future__ import annotations
@@ -127,22 +129,13 @@ def _record_runs(meas: Measurement, latency: float, period: float,
     return meas
 
 
-def run_glue(
-    glue: GlueModule,
-    platform: PlatformSpec,
-    nodes: int,
-    iterations: int,
-    plan: Optional[FaultPlan] = None,
-    policy: Optional[FaultPolicy] = None,
-    config: RuntimeConfig = DEFAULT_CONFIG,
-) -> RunResult:
-    """One timing-only run of ``glue`` on a fresh simulated cluster, with
+def run_glue(glue: GlueModule, platform: PlatformSpec, iterations: int,
+             plan: Optional[FaultPlan] = None,
+             policy: Optional[FaultPolicy] = None) -> RunResult:
+    """One timing-only run of ``glue`` on a fresh ``platform`` cluster, with
     ``plan``'s faults injected and ``policy`` governing the recovery."""
-    cluster = SimCluster.from_platform(Environment(), platform, nodes,
-                                       fault_plan=plan)
-    runtime = SageRuntime(glue, cluster, config=config.timing_only(),
-                          fault_policy=policy)
-    return runtime.run(iterations=iterations)
+    return SageRuntime.build(glue, platform, fault_plan=plan, fault_policy=policy,
+                             config=DEFAULT_CONFIG.timing_only()).run(iterations=iterations)
 
 
 def start_detector(
@@ -196,7 +189,8 @@ def measure_sage(
     )
     cfg = config or DEFAULT_CONFIG
     variant = "sage_optimized" if (optimize_buffers or cfg.send_staging != "all") else "sage"
-    result = run_glue(glue, platform, nodes, protocol.iterations, config=cfg)
+    runtime = SageRuntime.build(glue, platform, config=cfg.timing_only())
+    result = runtime.run(iterations=protocol.iterations)
     return _record_runs(
         Measurement(app, platform.name, nodes, size, variant),
         result.mean_latency, result.period, protocol,

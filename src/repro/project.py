@@ -36,7 +36,7 @@ from .core.model import (
 )
 from .core.runtime import DEFAULT_CONFIG, RunResult, RuntimeConfig, SageRuntime
 from .core.visualizer import run_report, run_summary
-from .machine import Environment, PlatformSpec, get_platform
+from .machine import PlatformSpec, get_platform
 
 __all__ = ["SageProject"]
 
@@ -52,18 +52,12 @@ class SageProject:
         hardware: Optional[HardwareModel] = None,
     ):
         self.app = app
-        if hardware is not None:
-            self.hardware = hardware
-            self.platform = (
-                get_platform(platform) if isinstance(platform, str) else platform
-            )
-        else:
-            self.platform = (
-                get_platform(platform) if isinstance(platform, str) else platform
-            )
+        self.platform = get_platform(platform) if isinstance(platform, str) else platform
+        if hardware is None:
             if nodes is None:
                 raise ModelError("pass nodes= or a hardware= model")
-            self.hardware = from_platform(self.platform, nodes)
+            hardware = from_platform(self.platform, nodes)
+        self.hardware = hardware
         self.nodes = self.hardware.processor_count
         self.mapping: Optional[Mapping] = None
         self.atot_result: Optional[AtotResult] = None
@@ -118,9 +112,7 @@ class SageProject:
             self.generate()
         if input_provider is None and config.execute_data:
             config = config.timing_only()
-        env = Environment()
-        cluster = self.hardware.build_cluster(env)
-        runtime = SageRuntime(self.glue, cluster, config=config)
+        runtime = SageRuntime.build(self.glue, self.hardware, config=config)
         self.last_result = runtime.run(
             iterations=iterations,
             input_provider=input_provider,

@@ -45,8 +45,7 @@ from ..apps import benchmark_mapping
 from ..core.codegen import generate_glue
 from ..core.runtime import DEFAULT_CONFIG, SageRuntime
 from ..core.runtime.policy import FaultPolicy
-from ..core.runtime.probes import Trace
-from ..machine import Environment, SimCluster, get_platform
+from ..machine import Environment, PlatformSpec, SimCluster, get_platform
 from ..perf.cache import cache_scope, cache_stats, forget_scope
 from .bus import EventBus
 from .errors import (
@@ -74,17 +73,24 @@ def run_standalone(spec: JobSpec, platform: str = "cspi"):
     ``spec.nodes``-node cluster, no scheduler, no scopes.  The isolation
     invariant compares service runs against this reference."""
     spec.validate()
-    model = spec.build_model()
-    mapping = benchmark_mapping(model, spec.nodes)
-    glue = generate_glue(model, mapping, num_processors=spec.nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, get_platform(platform), spec.nodes)
-    runtime = SageRuntime(
-        glue, cluster, config=DEFAULT_CONFIG.timing_only(),
-        fault_policy=FaultPolicy.named(spec.policy),
-    )
-    result = runtime.run(iterations=spec.iterations)
-    return result, env.events_processed
+    return _run_spec(spec, get_platform(platform))
+
+
+def _run_spec(spec: JobSpec, platform: PlatformSpec, job: Optional[str] = None):
+    """Build and run ``spec`` on a private cluster of ``platform``; returns
+    ``(RunResult, engine events)``.  The service's job body and
+    :func:`run_standalone` both run here, so a job differs from its
+    standalone run only by ``job``: its cache scope and trace tag."""
+    with cache_scope(job):
+        model = spec.build_model()
+        mapping = benchmark_mapping(model, spec.nodes)
+        glue = generate_glue(model, mapping, num_processors=spec.nodes)
+        runtime = SageRuntime.build(
+            glue, platform, config=DEFAULT_CONFIG.timing_only(),
+            fault_policy=FaultPolicy.named(spec.policy), job_scope=job,
+        )
+        result = runtime.run(iterations=spec.iterations)
+    return result, runtime.env.events_processed
 
 
 @dataclass(frozen=True)
@@ -290,20 +296,7 @@ class SageService:
         )
         self.executed += 1
         try:
-            with cache_scope(job.id):
-                model = spec.build_model()
-                mapping = benchmark_mapping(model, spec.nodes)
-                glue = generate_glue(model, mapping, num_processors=spec.nodes)
-                env = Environment()
-                cluster = SimCluster.from_platform(
-                    env, self.platform, spec.nodes
-                )
-                runtime = SageRuntime(
-                    glue, cluster, config=DEFAULT_CONFIG.timing_only(),
-                    fault_policy=FaultPolicy.named(spec.policy),
-                    trace=Trace(job=job.id), job_scope=job.id,
-                )
-                result = runtime.run(iterations=spec.iterations)
+            result, sim_events = _run_spec(spec, self.platform, job.id)
         except Exception as exc:
             job.state = "failed"
             job.error = JobFailedError(
@@ -322,7 +315,7 @@ class SageService:
             mean_latency=result.mean_latency,
             period=result.period,
             probe_events=len(result.trace),
-            sim_events=env.events_processed,
+            sim_events=sim_events,
             trace_digest=result.trace.digest(),
             cache_hits=hits,
             cache_misses=misses,

@@ -35,7 +35,7 @@ from repro.apps import (
 from repro.core.codegen import generate_glue
 from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
 from repro.core.runtime.policy import FaultPolicy
-from repro.machine import Environment, SimCluster, get_platform
+from repro.machine import get_platform
 from repro.machine.faults import FaultPlan
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "golden_traces.json")
@@ -122,15 +122,11 @@ def run_scenario_in_env(name: str):
     model = _BUILDERS[app_name](n, nodes)
     mapping = benchmark_mapping(model, nodes)
     glue = generate_glue(model, mapping, num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(
-        env, get_platform("cspi"), nodes, fault_plan=plan_fn(nodes)
+    runtime = SageRuntime.build(
+        glue, get_platform("cspi"), fault_plan=plan_fn(nodes),
+        fault_policy=policy_fn(), config=DEFAULT_CONFIG.timing_only(),
     )
-    runtime = SageRuntime(
-        glue, cluster, config=DEFAULT_CONFIG.timing_only(),
-        fault_policy=policy_fn(),
-    )
-    return runtime.run(iterations=iterations), env
+    return runtime.run(iterations=iterations), runtime.env
 
 
 def canonical_trace(result) -> str:

@@ -14,7 +14,7 @@ from repro.apps.models import corner_turn_model, fft2d_model
 from repro.core.codegen import generate_glue
 from repro.core.model import round_robin_mapping
 from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
-from repro.machine import Environment, SimCluster, get_platform
+from repro.machine import get_platform
 
 #: The ISSUE's acceptance bound: static prediction within 25% of simulation.
 ACCURACY = 0.25
@@ -24,9 +24,7 @@ _BUILDERS = {"fft2d": fft2d_model, "corner_turn": corner_turn_model}
 
 def _simulated_makespan(app, mapping, nodes, iterations):
     glue = generate_glue(app, mapping, num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, get_platform("cspi"), nodes)
-    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only())
+    runtime = SageRuntime.build(glue, get_platform("cspi"), config=DEFAULT_CONFIG.timing_only())
     return runtime.run(iterations=iterations).makespan
 
 

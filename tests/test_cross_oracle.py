@@ -20,7 +20,7 @@ from repro.apps import (
     fft2d_rank,
 )
 from repro.core.codegen import generate_glue
-from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
+from repro.core.runtime import SageRuntime
 from repro.machine import Environment, SimCluster, get_platform
 from repro.mpi import MpiWorld
 
@@ -32,8 +32,7 @@ def _sage(build, n, nodes, provider):
     model = build(n, nodes)
     glue = generate_glue(model, benchmark_mapping(model, nodes),
                          num_processors=nodes)
-    cluster = SimCluster.from_platform(Environment(), get_platform("cspi"), nodes)
-    result = SageRuntime(glue, cluster, config=DEFAULT_CONFIG).run(
+    result = SageRuntime.build(glue, get_platform("cspi")).run(
         iterations=1, input_provider=provider)
     return result.full_result(0)
 

@@ -24,7 +24,7 @@ from repro.core.runtime import (
     region_elems,
     thread_region,
 )
-from repro.machine import Environment, SimCluster, cspi
+from repro.machine import cspi
 
 
 class TestCyclicMessagePlan:
@@ -142,9 +142,7 @@ class TestCyclicEndToEnd:
         app = cyclic_fft_model(n, nodes)
         mapping = benchmark_mapping(app, nodes)
         glue = generate_glue(app, mapping, num_processors=nodes)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), nodes)
-        runtime = SageRuntime(glue, cluster)
+        runtime = SageRuntime.build(glue, cspi())
         result = runtime.run(iterations=1, input_provider=provider)
         np.testing.assert_allclose(
             result.full_result(0), np.fft.fft2(provider(0)), atol=2e-1

@@ -17,7 +17,7 @@ from repro.apps import (
 from repro.core.codegen import generate_glue
 from repro.core.model import Mapping
 from repro.core.model.mapping import grow_mapping, shrink_mapping
-from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
+from repro.core.runtime import SageRuntime
 from repro.core.runtime.striping import (
     plan_remote_traffic,
     plan_remote_traffic_delta,
@@ -36,10 +36,7 @@ def make_runtime(builder=fft2d_model, plan=None, policy=None):
     app = builder(N, NODES)
     glue = generate_glue(app, benchmark_mapping(app, NODES),
                          num_processors=NODES)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), NODES, fault_plan=plan)
-    return SageRuntime(glue, cluster, config=DEFAULT_CONFIG,
-                       fault_policy=policy)
+    return SageRuntime.build(glue, cspi(), fault_plan=plan, fault_policy=policy)
 
 
 def run(runtime, iterations=6):
@@ -253,9 +250,7 @@ class TestRemoteTrafficDelta:
         app = fft2d_model(N, NODES)
         glue = generate_glue(app, benchmark_mapping(app, NODES),
                              num_processors=NODES)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), NODES)
-        runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG)
+        runtime = SageRuntime.build(glue, cspi())
         return runtime.buffers[0].plan
 
     def test_delta_matches_full_recompute(self):

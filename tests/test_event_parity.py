@@ -98,11 +98,10 @@ def test_fft2d_256_event_count(nodes, iterations):
     model = fft2d_model(256, nodes)
     glue = generate_glue(model, benchmark_mapping(model, nodes),
                          num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, get_platform("cspi"), nodes)
-    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only())
+    runtime = SageRuntime.build(glue, get_platform("cspi"),
+                                config=DEFAULT_CONFIG.timing_only())
     runtime.run(iterations=iterations)
-    assert env.events_processed == FFT2D_256_EVENTS[nodes, iterations]
+    assert runtime.env.events_processed == FFT2D_256_EVENTS[nodes, iterations]
     assert not runtime._in_flight
 
 
@@ -150,12 +149,12 @@ def test_restripe_retry_under_shrink_restripe():
     plan.crash_node(2, at=0.0005, permanent=True)
     model = fft2d_model(32, 4)
     glue = generate_glue(model, benchmark_mapping(model, 4), num_processors=4)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, get_platform("cspi"), 4, fault_plan=plan)
     policy = dataclasses.replace(
         FaultPolicy.shrink_restripe(max_retries=4), backoff_jitter=0.25)
-    result = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only(),
-                         fault_policy=policy).run(iterations=3)
+    runtime = SageRuntime.build(glue, get_platform("cspi"), fault_plan=plan,
+                                fault_policy=policy,
+                                config=DEFAULT_CONFIG.timing_only())
+    result = runtime.run(iterations=3)
     retries = [e.detail for e in result.trace.by_kind("retry")
                if e.detail.startswith("restripe")]
     assert retries[0] == (
@@ -163,4 +162,4 @@ def test_restripe_retry_under_shrink_restripe():
     assert len(retries) == 3
     assert digest_of(result) == (
         "3e4f8fbbcc0ed5a5ff9454cc647b172c342c45184b64a6121d6c5cdc0c434957")
-    assert env.events_processed == 1660
+    assert runtime.env.events_processed == 1660

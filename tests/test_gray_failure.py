@@ -129,11 +129,9 @@ def test_adaptive_still_declares_a_real_crash():
 def _run_limping(model, nodes, plan, policy, iterations):
     glue = generate_glue(model, benchmark_mapping(model, nodes),
                          num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, get_platform("cspi"), nodes,
-                                       fault_plan=plan)
-    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only(),
-                          fault_policy=policy)
+    runtime = SageRuntime.build(glue, get_platform("cspi"), fault_plan=plan,
+                                fault_policy=policy,
+                                config=DEFAULT_CONFIG.timing_only())
     return runtime.run(iterations=iterations)
 
 

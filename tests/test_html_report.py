@@ -6,7 +6,7 @@ from repro.apps import benchmark_mapping, fft2d_model
 from repro.core.codegen import generate_glue
 from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
 from repro.core.visualizer import render_html_report
-from repro.machine import Environment, SimCluster, cspi
+from repro.machine import cspi
 
 
 @pytest.fixture(scope="module")
@@ -14,9 +14,7 @@ def run_result():
     nodes = 4
     app = fft2d_model(64, nodes)
     glue = generate_glue(app, benchmark_mapping(app, nodes), num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), nodes)
-    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only())
+    runtime = SageRuntime.build(glue, cspi(), config=DEFAULT_CONFIG.timing_only())
     return runtime.run(iterations=2)
 
 
@@ -62,13 +60,10 @@ class TestFaultMarkers:
         app = fft2d_model(32, nodes)
         glue = generate_glue(app, benchmark_mapping(app, nodes),
                              num_processors=nodes)
-        env = Environment()
         plan = FaultPlan(seed=5).crash_node(3, at=0.0006, permanent=True)
-        cluster = SimCluster.from_platform(env, cspi(), nodes,
-                                           fault_plan=plan)
-        runtime = SageRuntime(glue, cluster,
-                              config=DEFAULT_CONFIG.timing_only(),
-                              fault_policy=FaultPolicy.shrink_restripe())
+        runtime = SageRuntime.build(glue, cspi(), fault_plan=plan,
+                                    fault_policy=FaultPolicy.shrink_restripe(),
+                                    config=DEFAULT_CONFIG.timing_only())
         return runtime.run(iterations=3)
 
     def test_fault_event_markers_and_table(self, shrink_result):

@@ -9,7 +9,7 @@ from repro.core.model import ApplicationModel, DataType, FunctionBlock, striped
 from repro.core.runtime import KernelError, SageRuntime
 from repro.core.runtime.kernels import ThreadContext, _build_filter_kernel, default_bindings
 from repro.kernels import conv2d_fft
-from repro.machine import Environment, SimCluster, cspi
+from repro.machine import cspi
 
 N = 32
 
@@ -43,9 +43,7 @@ def filter_model(nodes, **filter_params):
 def run_filter(nodes, image, **filter_params):
     app = filter_model(nodes, **filter_params)
     glue = generate_glue(app, benchmark_mapping(app, nodes), num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), nodes)
-    runtime = SageRuntime(glue, cluster)
+    runtime = SageRuntime.build(glue, cspi())
     return runtime.run(iterations=1, input_provider=lambda k: image).full_result(0)
 
 

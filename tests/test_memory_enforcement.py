@@ -18,15 +18,13 @@ from repro.apps import benchmark_mapping, corner_turn_model, fft2d_model
 from repro.core.atot import random_mapping
 from repro.core.codegen import generate_glue
 from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
-from repro.machine import Environment, SimCluster, cspi
+from repro.machine import cspi
 from repro.service.jobs import JobSpec
 
 
 def make_runtime(app, nodes, config=None):
     glue = generate_glue(app, benchmark_mapping(app, nodes), num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), nodes)
-    return SageRuntime(glue, cluster, config=config or DEFAULT_CONFIG.timing_only())
+    return SageRuntime.build(glue, cspi(), config=config or DEFAULT_CONFIG.timing_only())
 
 
 def test_benchmark_sizes_fit():
@@ -97,9 +95,8 @@ def test_runtime_admission_and_verifier_dram_checks_agree(
     glue = generate_glue(app, mapping, num_processors=nodes)
 
     def runtime(enforce: bool):
-        cluster = SimCluster.from_platform(Environment(), platform, nodes)
         config = dataclasses.replace(DEFAULT_CONFIG.timing_only(), enforce_memory=enforce)
-        return SageRuntime(glue, cluster, config=config)
+        return SageRuntime.build(glue, platform, config=config)
 
     over = {p for p, n in runtime(False).memory_footprint().items() if n > limit}
     try:

@@ -14,7 +14,7 @@ from repro.core.model import (
     striped,
 )
 from repro.core.runtime import SageRuntime
-from repro.machine import Environment, SimCluster, cspi
+from repro.machine import cspi
 
 N = 16
 MTYPE = DataType("m", "complex64", (N, N))
@@ -23,9 +23,7 @@ MTYPE = DataType("m", "complex64", (N, N))
 def run_app(app, nodes, providers):
     """providers: path -> callable(k) (each matrix_source pulls by its path)."""
     glue = generate_glue(app, round_robin_mapping(app, nodes), num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), nodes)
-    runtime = SageRuntime(glue, cluster)
+    runtime = SageRuntime.build(glue, cspi())
 
     # One provider per source function: dispatch on nothing but iteration is
     # ambiguous, so sources carry a 'which' param the provider keys on.

@@ -209,15 +209,14 @@ def _elastic_run(app, nodes, policy, victims, base_makespan=None):
                             permanent=True)
             if policy == "grow_restripe":
                 plan.join_node(victim, at=base_makespan * (0.55 + 0.05 * i))
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), nodes, fault_plan=plan)
-    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only(),
-                          fault_policy=FaultPolicy.named(policy))
+    runtime = SageRuntime.build(glue, cspi(), fault_plan=plan,
+                                fault_policy=FaultPolicy.named(policy),
+                                config=DEFAULT_CONFIG.timing_only())
     try:
         result = runtime.run(iterations=6)
     except FaultError as exc:
-        return (type(exc).__name__, str(exc), env.events_processed)
-    return (result.trace.digest(), result.makespan, env.events_processed)
+        return (type(exc).__name__, str(exc), runtime.env.events_processed)
+    return (result.trace.digest(), result.makespan, runtime.env.events_processed)
 
 
 @settings(max_examples=12, deadline=None)

@@ -15,16 +15,14 @@ import pytest
 from repro.apps import MatrixProvider, benchmark_mapping, corner_turn_model, fft2d_model
 from repro.core.codegen import generate_glue
 from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
-from repro.machine import Environment, PLATFORMS, SimCluster, get_platform
+from repro.machine import PLATFORMS, get_platform
 
 N, NODES = 32, 4
 
 
 def run_on(platform_name, app, provider=None, config=None):
     glue = generate_glue(app, benchmark_mapping(app, NODES), num_processors=NODES)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, get_platform(platform_name), NODES)
-    runtime = SageRuntime(glue, cluster, config=config or DEFAULT_CONFIG)
+    runtime = SageRuntime.build(glue, get_platform(platform_name), config=config or DEFAULT_CONFIG)
     return runtime.run(iterations=1, input_provider=provider)
 
 

@@ -20,7 +20,7 @@ from repro.core.model import (
 from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
 from repro.core.visualizer import run_summary, trace_to_csv, trace_to_json
 from repro.kernels import cfar_detect, chirp_waveform, doppler_process, pulse_compress_rows
-from repro.machine import Environment, SimCluster, cspi
+from repro.machine import cspi
 
 PULSES, RANGES = 32, 32
 
@@ -65,9 +65,7 @@ def radar_model(nodes):
 def run_radar(nodes, cpi):
     app = radar_model(nodes)
     glue = generate_glue(app, round_robin_mapping(app, nodes), num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), nodes)
-    runtime = SageRuntime(glue, cluster)
+    runtime = SageRuntime.build(glue, cspi())
     return runtime.run(iterations=1, input_provider=lambda k: cpi)
 
 
@@ -108,9 +106,7 @@ class TestRadarChainEndToEnd:
     def test_timing_mode_runs_radar_chain(self):
         app = radar_model(4)
         glue = generate_glue(app, round_robin_mapping(app, 4), num_processors=4)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), 4)
-        runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only())
+        runtime = SageRuntime.build(glue, cspi(), config=DEFAULT_CONFIG.timing_only())
         result = runtime.run(iterations=3)
         assert result.mean_latency > 0
 

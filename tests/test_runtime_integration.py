@@ -10,6 +10,7 @@ from repro.core.model import (
     ApplicationModel,
     DataType,
     FunctionBlock,
+    cspi_hardware,
     round_robin_mapping,
 )
 from repro.core.runtime import (
@@ -17,15 +18,14 @@ from repro.core.runtime import (
     RuntimeError_,
     SageRuntime,
 )
-from repro.machine import Environment, SimCluster, cspi
+from repro.faults import FaultPlan
+from repro.machine import cspi
 
 
 def run_sage(app, nodes, iterations=1, config=None, provider=None, n=None):
     mapping = benchmark_mapping(app, nodes)
     glue = generate_glue(app, mapping, num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), nodes)
-    runtime = SageRuntime(glue, cluster, config=config or DEFAULT_CONFIG)
+    runtime = SageRuntime.build(glue, cspi(), config=config or DEFAULT_CONFIG)
     return runtime.run(iterations=iterations, input_provider=provider)
 
 
@@ -122,18 +122,14 @@ class TestTimingBehaviour:
         app = corner_turn_model(n, nodes)
         mapping = benchmark_mapping(app, nodes)
         glue_opt = generate_glue(app, mapping, num_processors=nodes, optimize_buffers=True)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), nodes)
-        runtime = SageRuntime(glue_opt, cluster, config=DEFAULT_CONFIG.timing_only())
+        runtime = SageRuntime.build(glue_opt, cspi(), config=DEFAULT_CONFIG.timing_only())
         assert runtime.config.stage_dma_sources is False
 
     def test_source_interval_throttles_period(self):
         app = fft2d_model(64, 4)
         mapping = benchmark_mapping(app, 4)
         glue = generate_glue(app, mapping, num_processors=4)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), 4)
-        runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only())
+        runtime = SageRuntime.build(glue, cspi(), config=DEFAULT_CONFIG.timing_only())
         interval = 0.5
         result = runtime.run(iterations=4, source_interval=interval)
         assert result.period == pytest.approx(interval, rel=0.01)
@@ -145,9 +141,7 @@ class TestTrace:
         provider = MatrixProvider(16)
         mapping = benchmark_mapping(app, 2)
         glue = generate_glue(app, mapping, num_processors=2)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), 2)
-        runtime = SageRuntime(glue, cluster)
+        runtime = SageRuntime.build(glue, cspi())
         result = runtime.run(iterations=2, input_provider=provider)
         trace = result.trace
         assert len(trace.by_kind("enter")) == len(trace.by_kind("exit")) == 2 * 3 * 2
@@ -162,10 +156,19 @@ class TestRuntimeErrors:
     def test_cluster_too_small(self):
         app = corner_turn_model(16, 4)
         glue = generate_glue(app, benchmark_mapping(app, 4), num_processors=4)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), 2)
         with pytest.raises(RuntimeError_, match="expects 4 processors"):
-            SageRuntime(glue, cluster)
+            SageRuntime.build(glue, cspi_hardware(2))
+
+    def test_build_sizes_the_cluster_and_injects_the_plan(self):
+        app = corner_turn_model(16, 2)
+        glue = generate_glue(app, benchmark_mapping(app, 2), num_processors=2)
+        plan = FaultPlan(seed=1).crash_node(1, at=1.0)
+        on_platform = SageRuntime.build(glue, cspi(), job_scope="job-1")
+        on_hardware = SageRuntime.build(glue, cspi_hardware(4), fault_plan=plan)
+        assert (len(on_platform.cluster), len(on_hardware.cluster)) == (2, 4)
+        assert on_platform.cluster.faults is None
+        assert on_hardware.cluster.faults.plan is plan
+        assert (on_platform.trace.job, on_hardware.trace.job) == ("job-1", "")
 
     def test_unknown_kernel_rejected_at_load(self):
         t = DataType("m", "complex64", (8, 8))
@@ -176,26 +179,20 @@ class TestRuntimeErrors:
         odd.add_in("in", t)
         app.connect(src.port("out"), odd.port("in"))
         glue = generate_glue(app, round_robin_mapping(app, 1), num_processors=1)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), 1)
         with pytest.raises(RuntimeError_, match="no binding for kernel"):
-            SageRuntime(glue, cluster)
+            SageRuntime.build(glue, cspi())
 
     def test_missing_provider_in_execute_mode(self):
         app = corner_turn_model(16, 2)
         glue = generate_glue(app, benchmark_mapping(app, 2), num_processors=2)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), 2)
-        runtime = SageRuntime(glue, cluster)
+        runtime = SageRuntime.build(glue, cspi())
         with pytest.raises(RuntimeError_, match="input_provider"):
             runtime.run(iterations=1)
 
     def test_zero_iterations_rejected(self):
         app = corner_turn_model(16, 2)
         glue = generate_glue(app, benchmark_mapping(app, 2), num_processors=2)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), 2)
-        runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only())
+        runtime = SageRuntime.build(glue, cspi(), config=DEFAULT_CONFIG.timing_only())
         with pytest.raises(RuntimeError_):
             runtime.run(iterations=0)
 

@@ -18,7 +18,7 @@ from repro.core.model import (
     striped,
 )
 from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
-from repro.machine import Environment, SimCluster, cspi
+from repro.machine import cspi
 
 N = 16
 
@@ -63,9 +63,7 @@ def chain_apps(draw):
 def test_random_chain_preserves_data_and_balances_probes(app_and_nodes, iterations):
     app, nodes = app_and_nodes
     glue = generate_glue(app, round_robin_mapping(app, nodes), num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), nodes)
-    runtime = SageRuntime(glue, cluster)
+    runtime = SageRuntime.build(glue, cspi())
     rng = np.random.default_rng(7)
     data = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))).astype(
         "complex64"
@@ -100,9 +98,7 @@ def test_random_chain_timing_deterministic(app_and_nodes):
     glue = generate_glue(app, round_robin_mapping(app, nodes), num_processors=nodes)
 
     def run_once():
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), nodes)
-        runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only())
+        runtime = SageRuntime.build(glue, cspi(), config=DEFAULT_CONFIG.timing_only())
         return runtime.run(iterations=2)
 
     r1, r2 = run_once(), run_once()
@@ -119,9 +115,7 @@ def test_timing_mode_matches_data_mode_clock(app_and_nodes):
     data = np.zeros((N, N), dtype="complex64")
 
     def run_once(config, provider):
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), nodes)
-        runtime = SageRuntime(glue, cluster, config=config)
+        runtime = SageRuntime.build(glue, cspi(), config=config)
         return runtime.run(iterations=1, input_provider=provider)
 
     real = run_once(DEFAULT_CONFIG, lambda k: data)

@@ -11,10 +11,10 @@ from repro.apps import (
 )
 from repro.core.codegen import generate_glue
 from repro.core.model import Mapping, ModelError, shrink_mapping
-from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
+from repro.core.runtime import SageRuntime
 from repro.core.runtime.striping import PlannedMessage, plan_remote_traffic
 from repro.faults import FaultPlan, FaultPolicy
-from repro.machine import Environment, SimCluster, cspi
+from repro.machine import cspi
 
 N = 32
 NODES = 8
@@ -24,10 +24,7 @@ def make_runtime(builder=fft2d_model, plan=None, policy=None):
     app = builder(N, NODES)
     glue = generate_glue(app, benchmark_mapping(app, NODES),
                          num_processors=NODES)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), NODES, fault_plan=plan)
-    return SageRuntime(glue, cluster, config=DEFAULT_CONFIG,
-                       fault_policy=policy)
+    return SageRuntime.build(glue, cspi(), fault_plan=plan, fault_policy=policy)
 
 
 def run(runtime, iterations=3):

@@ -25,7 +25,6 @@ from repro.core.model import (
     striped,
 )
 from repro.core.runtime import SageRuntime
-from repro.machine import Environment
 
 
 MTYPE = DataType("m", "complex64", (32, 32))
@@ -148,9 +147,7 @@ class TestDesignDocument:
         glue2 = generate_glue(app2, mapping2, num_processors=nodes)
         assert glue1.source == glue2.source
 
-        env = Environment()
-        cluster = hw2.build_cluster(env)
-        runtime = SageRuntime(glue2, cluster)
+        runtime = SageRuntime.build(glue2, hw2)
         provider = MatrixProvider(n, seed=3)
         result = runtime.run(iterations=1, input_provider=provider)
         np.testing.assert_allclose(

@@ -14,7 +14,7 @@ from repro.core.model import (
     striped,
 )
 from repro.core.runtime import DEFAULT_CONFIG, SageRuntime
-from repro.machine import Environment, SimCluster, cspi, sky
+from repro.machine import cspi, sky
 
 
 def test_sixteen_node_fft_correct():
@@ -22,18 +22,14 @@ def test_sixteen_node_fft_correct():
     provider = MatrixProvider(n, seed=21)
     app = fft2d_model(n, nodes)
     glue = generate_glue(app, benchmark_mapping(app, nodes), num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), nodes)
-    result = SageRuntime(glue, cluster).run(iterations=1, input_provider=provider)
+    result = SageRuntime.build(glue, cspi()).run(iterations=1, input_provider=provider)
     np.testing.assert_allclose(result.full_result(0), np.fft.fft2(provider(0)), atol=2e-1)
 
 
 def test_sixteen_node_hundred_iterations_timing():
     app = corner_turn_model(1024, 16)
     glue = generate_glue(app, benchmark_mapping(app, 16), num_processors=16)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, sky(), 16)
-    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only())
+    runtime = SageRuntime.build(glue, sky(), config=DEFAULT_CONFIG.timing_only())
     result = runtime.run(iterations=100)
     assert result.iterations == 100
     assert len(result.trace.by_kind("sink")) == 100 * 16
@@ -66,9 +62,7 @@ def test_deep_mixed_distribution_chain():
 
     provider = MatrixProvider(n, seed=22)
     glue = generate_glue(app, round_robin_mapping(app, nodes), num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), nodes)
-    result = SageRuntime(glue, cluster).run(iterations=2, input_provider=provider)
+    result = SageRuntime.build(glue, cspi()).run(iterations=2, input_provider=provider)
     for k in range(2):
         np.testing.assert_array_equal(result.full_result(k), provider(k))
 
@@ -77,9 +71,7 @@ def test_many_iterations_memory_stays_bounded():
     """Buffer storage is freed as iterations drain (no unbounded growth)."""
     app = corner_turn_model(64, 4)
     glue = generate_glue(app, benchmark_mapping(app, 4), num_processors=4)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), 4)
-    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only())
+    runtime = SageRuntime.build(glue, cspi(), config=DEFAULT_CONFIG.timing_only())
     runtime.run(iterations=200)
     assert all(buf.live_iterations == 0 for buf in runtime.buffers)
     # arrival-event bookkeeping is bounded by messages, not unbounded state

@@ -144,9 +144,7 @@ class TestAdmissionInteractions:
     def make_runtime(self, config):
         app = fft2d_model(64, 2)
         glue = generate_glue(app, benchmark_mapping(app, 2), num_processors=2)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), 2)
-        return SageRuntime(glue, cluster, config=config)
+        return SageRuntime.build(glue, cspi(), config=config)
 
     def test_deeper_pipelines_never_slower_throughput(self):
         periods = {}

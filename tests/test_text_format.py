@@ -15,7 +15,7 @@ from repro.core.model import (
     validate_application,
 )
 from repro.core.runtime import SageRuntime
-from repro.machine import Environment, SimCluster, cspi
+from repro.machine import cspi
 
 FFT_TEXT = """
 # the parallel 2D FFT, as a Designer text capture
@@ -147,9 +147,7 @@ class TestTextModelExecutes:
         app = parse_application(FFT_TEXT)
         nodes = 2
         glue = generate_glue(app, benchmark_mapping(app, nodes), num_processors=nodes)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), nodes)
-        runtime = SageRuntime(glue, cluster)
+        runtime = SageRuntime.build(glue, cspi())
         provider = MatrixProvider(32, seed=2)
         result = runtime.run(iterations=1, input_provider=provider)
         np.testing.assert_allclose(

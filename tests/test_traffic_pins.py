@@ -38,9 +38,7 @@ from repro.core.atot import MappingObjective, list_schedule, random_mapping
 from repro.core.codegen import generate_glue
 from repro.core.model import round_robin_mapping
 from repro.core.runtime import SageRuntime
-from repro.machine.cluster import SimCluster
 from repro.machine.platforms import get_platform
-from repro.machine.simulator import Environment
 from repro.perf.registry import REGISTRY
 
 BUILDERS = {
@@ -108,8 +106,7 @@ def case_outputs(app_name: str, size: int, nodes: int, mapping_name: str) -> dic
     glue = generate_glue(app, mapping, num_processors=nodes)
 
     def runtime():
-        cluster = SimCluster.from_platform(Environment(), platform, nodes)
-        rt = SageRuntime(glue, cluster)
+        rt = SageRuntime.build(glue, platform)
         return {
             "memory_footprint": {
                 str(p): n for p, n in sorted(rt.memory_footprint().items())

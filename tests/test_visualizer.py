@@ -15,7 +15,7 @@ from repro.core.visualizer import (
     run_report,
     utilization,
 )
-from repro.machine import Environment, SimCluster, cspi
+from repro.machine import cspi
 
 
 @pytest.fixture(scope="module")
@@ -23,9 +23,7 @@ def run_result():
     nodes, n = 4, 64
     app = fft2d_model(n, nodes)
     glue = generate_glue(app, benchmark_mapping(app, nodes), num_processors=nodes)
-    env = Environment()
-    cluster = SimCluster.from_platform(env, cspi(), nodes)
-    runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only())
+    runtime = SageRuntime.build(glue, cspi(), config=DEFAULT_CONFIG.timing_only())
     return runtime.run(iterations=3)
 
 
@@ -161,9 +159,7 @@ class TestRunReport:
         nodes, n = 2, 16
         app = corner_turn_model(n, nodes)
         glue = generate_glue(app, benchmark_mapping(app, nodes), num_processors=nodes)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), nodes)
-        runtime = SageRuntime(glue, cluster)
+        runtime = SageRuntime.build(glue, cspi())
         result = runtime.run(iterations=1, input_provider=MatrixProvider(n))
         report = run_report(result, processors=nodes)
         assert "turn" in report

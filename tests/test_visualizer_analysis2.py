@@ -6,7 +6,7 @@ from repro.apps import benchmark_mapping, fft2d_model
 from repro.core.codegen import generate_glue
 from repro.core.runtime import DEFAULT_CONFIG, ProbeEvent, SageRuntime, Trace
 from repro.core.visualizer import latency_histogram, stage_breakdown
-from repro.machine import Environment, SimCluster, cspi
+from repro.machine import cspi
 
 
 def ev(time, kind, function="f", thread=0, it=0):
@@ -34,9 +34,7 @@ class TestStageBreakdown:
         nodes = 4
         app = fft2d_model(64, nodes)
         glue = generate_glue(app, benchmark_mapping(app, nodes), num_processors=nodes)
-        env = Environment()
-        cluster = SimCluster.from_platform(env, cspi(), nodes)
-        runtime = SageRuntime(glue, cluster, config=DEFAULT_CONFIG.timing_only())
+        runtime = SageRuntime.build(glue, cspi(), config=DEFAULT_CONFIG.timing_only())
         result = runtime.run(iterations=2)
         bd = stage_breakdown(result.trace, 1)
         assert set(bd) == {"src", "rowfft", "colfft", "sink"}
