@@ -111,6 +111,25 @@ def test_generate_text_format_requires_nodes(sage_text_path, capsys):
     assert "pass --nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("run", "--iterations", "0"),
+    ("run", "--nodes", "-1"),
+    ("run", "--nodes", "0"),
+    ("generate", "--nodes", "-1"),
+    ("generate", "--nodes", "0"),
+    ("analyze", "--nodes", "0"),
+    ("analyze", "--iterations", "-2"),
+    ("run", "--nodes", "two"),
+])
+def test_counts_must_be_positive(sage_text_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, sage_text_path, flag, value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"{flag}: expected a positive integer, got {value!r}" in err
+
+
 #: Studies whose quick protocol runs in about 2 s or less.  gray-failure's
 #: quick protocol takes about 9 s, so only CI's report regeneration (every
 #: study at the full protocol) runs it.
