@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 from ..core.model.validation import ValidationIssue
 
@@ -106,12 +106,6 @@ class AnalysisReport:
 
     def sorted(self) -> List[Finding]:
         return sorted(self.findings, key=lambda f: f.sort_key)
-
-    def by_rule(self) -> Dict[str, List[Finding]]:
-        out: Dict[str, List[Finding]] = {}
-        for f in self.sorted():
-            out.setdefault(f.rule, []).append(f)
-        return out
 
     def suppress(self, rules: Sequence[str]) -> "AnalysisReport":
         """A copy of this report with the given rule ids filtered out."""

@@ -592,10 +592,6 @@ class FaultInjector:
         """Current CPU rate multiplier for ``node`` (1.0 = full speed)."""
         return self._slow.get(node, 1.0)
 
-    @property
-    def slow_nodes(self) -> List[int]:
-        return sorted(self._slow)
-
     def sample_jitter(self, src: int, dst: int) -> float:
         """Seeded extra latency for one transfer over ``src``–``dst``.
 

@@ -351,10 +351,6 @@ class Environment:
     def now(self) -> float:
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_proc
-
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
         return Event(self)

@@ -348,10 +348,6 @@ class FailureDetector:
         return set(self._first_declared)
 
     # -- gray-failure observation ------------------------------------------
-    def slow_suspects(self) -> Set[int]:
-        """The set of ranks currently suspected slow (pooled evidence)."""
-        return set(self._slow)
-
     def suspected_slow(self, target: int) -> bool:
         """True while the pooled probe evidence holds a slow suspicion."""
         return target in self._slow
@@ -437,13 +433,6 @@ class FailureDetector:
         }
         self.env.process(self._joiner(rank, max_attempts),
                          name=f"hb-join:{rank}")
-        return ev
-
-    def join_event(self, rank: int) -> Event:
-        """The admission event for ``rank`` (see :meth:`request_join`)."""
-        ev = self._join_events.get(rank)
-        if ev is None:
-            raise KeyError(f"no join requested for rank {rank}")
         return ev
 
     def admitted(self, rank: int) -> Optional[Tuple[float, int]]:
