@@ -260,6 +260,10 @@ def cmd_run(args) -> int:
     app, hardware, mapping = _load_any_design(args.design)
     if hardware is not None and not args.platform:
         machine, nodes = hardware, hardware.processor_count
+        if args.nodes not in (None, nodes):
+            print(f"error: the design's hardware model has {nodes} processors; "
+                  f"pass --platform to run it on {args.nodes}", file=sys.stderr)
+            return 2
     else:
         machine = get_platform(args.platform or "cspi")
         nodes = args.nodes or (hardware.processor_count if hardware else 4)
@@ -278,6 +282,15 @@ def _positive_int(text: str) -> int:
     error (exit 2), not a traceback from deep in the run."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _power_of_two(text: str) -> int:
+    """argparse type for a builtin app's matrix size, which the FFT and the
+    striping need to be a positive power of two."""
+    if not text.isdecimal() or int(text) < 1 or int(text) & (int(text) - 1):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive power of two, got {text!r}")
     return int(text)
 
 
@@ -330,7 +343,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="design document path, or a builtin app: fft2d | cornerturn",
     )
     ana.add_argument("--nodes", type=_positive_int, help="processor count (default 4)")
-    ana.add_argument("--n", type=int, default=256,
+    ana.add_argument("--n", type=_power_of_two, default=256,
                      help="matrix size for builtin apps (default 256)")
     ana.add_argument("--platform", choices=["cspi", "mercury", "sky", "sigi"],
                      help="enable DRAM-capacity rules for this platform")

@@ -23,9 +23,9 @@ must hold regardless of what was injected:
 
 ``python -m repro chaos [-o FILE]`` runs the soak and prints the committed
 ``reports/chaos.txt``; see :mod:`repro.chaos.soak`.  The package re-exports
-only the schedule and invariant names: the soak runner pulls in the apps,
-codegen and run-time, and callers that need only ``Violation`` or
-``check_quiescent`` (the service and its soak) must not pay for it.
+only the schedule and invariant names: the soak runner pulls in the apps
+and codegen, and callers that need only ``Violation`` (the service's lease
+check and its soak) must not pay for it.
 """
 
 from .schedule import CHAOS_KINDS, ChaosSchedule, generate_schedule

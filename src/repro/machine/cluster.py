@@ -149,33 +149,6 @@ class SimCluster:
         # back into the same chassis position unless add_node overrides it.
         return dropped
 
-    # -- slot leasing (service layer) -----------------------------------
-    def acquire_slot(self, index: int) -> None:
-        """Hold the node's CPU slot on behalf of a lease.
-
-        The service's :class:`~repro.service.scheduler.ClusterScheduler`
-        accounts leases through the same :class:`Resource` that serialises
-        simulated work, so the chaos leak checks (every slot back to zero,
-        nobody queued) apply to the service unchanged.  A lease must only
-        ever take a *free* slot — double-leasing a node is a scheduler bug
-        and raises instead of queueing.  The slot is taken without an engine
-        event: the service's environment never runs, so a granted request
-        event would stay parked in its queue for good.
-        """
-        if not self.node(index).cpu.take():
-            raise ValueError(
-                f"node {index} CPU slot already held; leases must be disjoint"
-            )
-
-    def release_slot(self, index: int) -> None:
-        """Return a leased node's CPU slot to the free state."""
-        self.node(index).cpu.release()
-
-    def slot_census(self) -> Dict[int, int]:
-        """Held-slot count per node index, for leak assertions (a clean
-        service leaves this all-zero)."""
-        return {node.index: node.cpu.count for node in self.nodes}
-
     def node(self, index: int) -> SimNode:
         try:
             return self.nodes[index]

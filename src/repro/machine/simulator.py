@@ -533,15 +533,6 @@ class Resource:
             self._waiters.append(ev)
         return ev
 
-    def take(self) -> bool:
-        """Hold a free slot at once, with no event: for holders outside the
-        process world, such as a service lease, whose environment may never
-        run.  False, holding nothing, when every slot is taken."""
-        if self._in_use >= self.capacity:
-            return False
-        self._in_use += 1
-        return True
-
     def release(self) -> None:
         if self._in_use == 0:
             raise SimulationError("release() without a matching request()")

@@ -1,4 +1,4 @@
-"""SAGE-as-a-service: multi-job scheduling over a shared simulated cluster.
+"""SAGE-as-a-service: multi-job scheduling over a shared cluster of nodes.
 
 The paper's infrastructure generated and ran *one* design at a time.  This
 package turns that pipeline into a long-running service front end:
@@ -6,13 +6,14 @@ package turns that pipeline into a long-running service front end:
 * :mod:`repro.service.jobs` — :class:`JobSpec` submissions, job lifecycle
   records, and the FIFO :class:`JobQueue` with per-tenant depth quotas.
 * :mod:`repro.service.scheduler` — :class:`ClusterScheduler`: node-set
-  leases on the shared cluster, admission control and per-tenant quotas,
-  FIFO order with conservative (reservation-respecting) backfill, and
-  seeded deterministic tie-breaks.
+  leases kept in one free-node ledger, admission control and per-tenant
+  quotas, FIFO order with conservative (reservation-respecting) backfill,
+  and seeded deterministic tie-breaks.
 * :mod:`repro.service.bus` — the :class:`EventBus` carrying job lifecycle
   messages and re-published probe telemetry on hierarchical topics.
 * :mod:`repro.service.service` — :class:`SageService`, the front end tying
-  queue + scheduler + bus over one shared :class:`~repro.machine.SimCluster`.
+  queue + scheduler + bus into one virtual-time event loop; each job runs
+  on its own private simulated cluster.
 * :mod:`repro.service.soak` — the soak harness and its five invariants,
   run by the ``service-soak`` study (``python -m repro service-soak``).
 

@@ -3,22 +3,22 @@
 Modeled on the runtime-bus pattern (topics / bus / messages as separate
 concerns): :mod:`repro.service.messages` defines the records and the topic
 grammar, this module owns delivery.  The bus is strictly in-process and
-synchronous — ``publish`` appends to every matching subscription before it
-returns — because the service's event loop is itself deterministic virtual
-time; there is no benefit (and real determinism risk) in a thread hop.
+synchronous — ``publish`` calls every matching subscription's handler
+before it returns — because the service's event loop is itself
+deterministic virtual time; there is no benefit (and real determinism risk)
+in a thread hop.
 
-The bus keeps the full published history (bounded by ``history_limit``)
-so late consumers — the experiments runner, the soak checker, the
-visualizer — can read the whole stream after a run instead of poking
-runtimes directly, and so :meth:`EventBus.digest` can pin the entire
-service execution to one hash for the determinism invariant.
+The bus keeps the full published history so late consumers — the
+experiments runner, the soak checker, the visualizer — can read the whole
+stream after a run instead of poking runtimes directly, and so
+:meth:`EventBus.digest` can pin the entire service execution to one hash
+for the determinism invariant.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from .messages import BusMessage, freeze_payload, topic_matches
 
@@ -26,104 +26,71 @@ __all__ = ["EventBus", "Subscription"]
 
 
 class Subscription:
-    """One subscriber's view: a pattern plus its undelivered queue."""
+    """One subscriber: a topic pattern and the handler its messages go to."""
+
+    __slots__ = ("bus", "pattern", "handler")
 
     def __init__(self, bus: "EventBus", pattern: str,
-                 handler: Optional[Callable[[BusMessage], None]] = None):
+                 handler: Callable[[BusMessage], None]):
         self.bus = bus
         self.pattern = pattern
         self.handler = handler
-        self.active = True
-        self._queue: Deque[BusMessage] = deque()
-
-    def deliver(self, message: BusMessage) -> None:
-        if not self.active:
-            return
-        if self.handler is not None:
-            self.handler(message)
-        else:
-            self._queue.append(message)
-
-    def pop(self) -> Optional[BusMessage]:
-        """Next undelivered message, or None when drained."""
-        return self._queue.popleft() if self._queue else None
-
-    def drain(self) -> List[BusMessage]:
-        """All undelivered messages, emptying the queue."""
-        out = list(self._queue)
-        self._queue.clear()
-        return out
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     def close(self) -> None:
-        self.active = False
+        """Stop delivery from the next publish on."""
         self.bus.unsubscribe(self)
 
 
 class EventBus:
     """Topics, subscriptions, and the deterministic message history."""
 
-    def __init__(self, history_limit: Optional[int] = None):
-        self._seq = 0
+    def __init__(self):
         self._subs: List[Subscription] = []
-        self.history_limit = history_limit
-        self._history: Deque[BusMessage] = deque(maxlen=history_limit)
-        self.published = 0
+        self._history: List[BusMessage] = []
         #: Topics, key tuples and flat str/int value tuples seen so far,
-        #: each mapped to itself: every message reuses the first copy.  A
-        #: bounded bus shares nothing, so the table cannot outgrow it.
-        self._shared: Optional[Dict[Any, Any]] = (
-            {} if history_limit is None else None)
+        #: each mapped to itself: every message reuses the first copy.
+        self._shared: Dict[Any, Any] = {}
 
     # -- subscriptions ---------------------------------------------------
     def subscribe(self, pattern: str,
-                  handler: Optional[Callable[[BusMessage], None]] = None,
-                  ) -> Subscription:
-        """Register interest in ``pattern`` (see :func:`topic_matches`).
-
-        With a ``handler`` the message is pushed synchronously at publish
-        time; without one it queues on the subscription for ``pop``/
-        ``drain``.
-        """
+                  handler: Callable[[BusMessage], None]) -> Subscription:
+        """Push every later message whose topic matches ``pattern`` (see
+        :func:`topic_matches`) to ``handler``, synchronously at publish."""
         sub = Subscription(self, pattern, handler)
-        self._subs.append(sub)
+        # Copy on write: a handler may (un)subscribe while a publish is
+        # iterating the list; the change takes effect from the next one.
+        self._subs = self._subs + [sub]
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
-        try:
-            self._subs.remove(sub)
-        except ValueError:
-            pass
+        self._subs = [s for s in self._subs if s is not sub]
 
     # -- publishing ------------------------------------------------------
     def publish(self, topic: str, kind: str, time: float = 0.0,
                 **payload: Any) -> BusMessage:
         """Stamp, record, and deliver one message; returns it."""
         shared = self._shared
-        if shared is not None:
-            topic = shared.setdefault(topic, topic)
-        message = BusMessage(self._seq, time, topic, kind,
+        topic = shared.setdefault(topic, topic)
+        message = BusMessage(len(self._history), time, topic, kind,
                              *freeze_payload(payload, shared))
-        self._seq += 1
-        self.published += 1
         self._history.append(message)
         for sub in self._subs:
             if topic_matches(sub.pattern, topic):
-                sub.deliver(message)
+                sub.handler(message)
         return message
 
     # -- history & determinism -------------------------------------------
+    @property
+    def published(self) -> int:
+        """Messages published so far (the next message's ``seq``)."""
+        return len(self._history)
+
     @property
     def history(self) -> List[BusMessage]:
         return list(self._history)
 
     def history_for(self, pattern: str) -> List[BusMessage]:
         return [m for m in self._history if topic_matches(pattern, m.topic)]
-
-    def topics(self) -> List[str]:
-        return sorted({m.topic for m in self._history})
 
     def counts_by_kind(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -132,11 +99,7 @@ class EventBus:
         return out
 
     def digest(self) -> str:
-        """SHA-256 over the canonical stream — the determinism fingerprint.
-
-        Only meaningful when the bus was created with an unbounded history
-        (the default); a bounded bus hashes its retained window.
-        """
+        """SHA-256 over the canonical stream — the determinism fingerprint."""
         sha = hashlib.sha256()
         sep = b""
         for m in self._history:

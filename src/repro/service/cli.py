@@ -15,6 +15,7 @@ import os
 import sys
 from typing import List, Optional
 
+from ..__main__ import _positive_int
 from .errors import ServiceError
 from .jobs import JobSpec
 
@@ -74,7 +75,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                              "(see `python -m repro submit`)")
     parser.add_argument("--seed", type=int, default=7,
                         help="scheduler tie-break seed (default 7)")
-    parser.add_argument("--nodes", type=int, default=8,
+    parser.add_argument("--nodes", type=_positive_int, default=8,
                         help="shared cluster size (default 8)")
     return _run_batch(parser.parse_args(argv))
 

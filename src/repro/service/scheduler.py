@@ -1,4 +1,4 @@
-"""The cluster scheduler: node-set leasing over one shared SimCluster.
+"""The cluster scheduler: node-set leasing over a shared cluster of nodes.
 
 Admission policy
 ----------------
@@ -24,11 +24,11 @@ Admission policy
   identically, and two service instances with equal seeds produce
   byte-identical bus streams (the determinism invariant).
 
-Slot accounting rides on the machine layer: a lease holds one CPU slot on
-every leased node of the shared cluster
-(:meth:`~repro.machine.cluster.SimCluster.acquire_slot`), so the chaos
-leak checks (``repro.chaos.invariants``) apply verbatim — after a soak,
-every slot count must be back to zero.
+The free-node set is the only lease ledger: a node is either free or held
+by exactly one active lease, and
+:meth:`~repro.service.service.SageService.check_clean` audits that after a
+drain.  No simulated machine backs the leases — each job runs on its own
+private cluster — so there is nothing else to keep in step.
 """
 
 from __future__ import annotations
@@ -37,14 +37,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..machine.cluster import SimCluster
 from .errors import AdmissionError, QuotaExceededError
 from .jobs import Job, JobQueue, JobSpec
 
-__all__ = ["TenantQuota", "Lease", "ClusterScheduler", "UNLIMITED"]
-
-#: Sentinel meaning "no limit" for any quota dimension.
-UNLIMITED: Optional[int] = None
+__all__ = ["TenantQuota", "Lease", "ClusterScheduler"]
 
 
 @dataclass(frozen=True)
@@ -76,21 +72,21 @@ class Lease:
 
 _EPS = 1e-12
 
+#: The quota of a tenant with no entry in ``quotas``: no limits.
+_NO_QUOTA = TenantQuota()
+
 
 class ClusterScheduler:
-    """Multiplexes admitted jobs onto a shared simulated cluster."""
+    """Multiplexes admitted jobs onto ``nodes`` shared nodes."""
 
     def __init__(
         self,
-        cluster: SimCluster,
+        nodes: int,
         seed: int = 0,
-        default_quota: Optional[TenantQuota] = None,
         quotas: Optional[Dict[str, TenantQuota]] = None,
         predictor: Optional[Callable[[JobSpec], float]] = None,
     ):
-        self.cluster = cluster
-        self.seed = seed
-        self.default_quota = default_quota or TenantQuota()
+        self.nodes = nodes
         self.quotas = dict(quotas or {})
         #: Optional static-makespan predictor (spec -> seconds).  When set,
         #: :meth:`effective_budget` tightens declared budgets with the
@@ -98,7 +94,7 @@ class ClusterScheduler:
         #: of trusting whatever budget the tenant declared.
         self.predictor = predictor
         self._rng = random.Random(seed)
-        self._free = set(range(len(cluster)))
+        self._free = set(range(nodes))
         self.active: Dict[str, Lease] = {}
         self.history: List[Lease] = []
         #: job id -> tightest head reservation ever computed for it while it
@@ -110,7 +106,7 @@ class ClusterScheduler:
 
     # -- quotas ----------------------------------------------------------
     def quota_for(self, tenant: str) -> TenantQuota:
-        return self.quotas.get(tenant, self.default_quota)
+        return self.quotas.get(tenant, _NO_QUOTA)
 
     def max_queued(self, tenant: str) -> Optional[int]:
         """Queue-depth limit hook for the :class:`JobQueue`."""
@@ -146,10 +142,10 @@ class ClusterScheduler:
 
     def check_request(self, spec: JobSpec) -> None:
         """Reject requests that can *never* be admitted, with typed errors."""
-        if spec.nodes > len(self.cluster):
+        if spec.nodes > self.nodes:
             raise AdmissionError(
                 f"request for {spec.nodes} nodes exceeds the "
-                f"{len(self.cluster)}-node cluster"
+                f"{self.nodes}-node cluster"
             )
         quota = self.quota_for(spec.tenant)
         if quota.max_nodes is not None and spec.nodes > quota.max_nodes:
@@ -252,7 +248,7 @@ class ClusterScheduler:
 
     def grant(self, job: Job, now: float, backfilled: bool = False,
               head_reservation: Optional[float] = None) -> Lease:
-        """Lease a node set to ``job``, acquiring one CPU slot per node.
+        """Lease a node set to ``job``, taking its nodes out of the free set.
 
         Node choice is the seeded tie-break: a deterministic sample from
         the free set, consumed in decision order.
@@ -264,8 +260,6 @@ class ClusterScheduler:
                 f"(or over quota)"
             )
         nodes = tuple(sorted(self._rng.sample(sorted(self._free), spec.nodes)))
-        for index in nodes:
-            self.cluster.acquire_slot(index)
         self._free.difference_update(nodes)
         lease = Lease(
             job_id=job.id, tenant=spec.tenant, nodes=nodes, t_start=now,
@@ -278,10 +272,8 @@ class ClusterScheduler:
         return lease
 
     def release(self, job_id: str) -> Lease:
-        """Return a lease's nodes to the free pool and drop its slots."""
+        """Return a lease's nodes to the free pool."""
         lease = self.active.pop(job_id)
-        for index in lease.nodes:
-            self.cluster.release_slot(index)
         self._free.update(lease.nodes)
         self.history.append(lease)
         self.releases += 1
@@ -301,4 +293,4 @@ class ClusterScheduler:
             for lease in self.history
             if lease.t_end is not None
         )
-        return booked / (len(self.cluster) * span)
+        return booked / (self.nodes * span)

@@ -1,7 +1,7 @@
 """SAGE-as-a-service: the long-running multi-job front end.
 
-One :class:`SageService` owns a shared simulated cluster and multiplexes
-many submitted designs onto it:
+One :class:`SageService` leases the nodes of a shared cluster to many
+submitted designs:
 
 * :meth:`submit` is the async API — it validates, schedules the arrival,
   and returns a job id immediately; completion is observed through the
@@ -16,39 +16,43 @@ many submitted designs onto it:
 
 Execution model (space-sharing)
 -------------------------------
-The shared cluster is the *allocation* substrate: a lease exclusively holds
-one CPU slot per leased node, in the service's own virtual timeline.  The
-job's computation itself runs at full fidelity on its partition — a private
-:class:`~repro.machine.simulator.Environment` over ``spec.nodes`` processors
-of the same platform — exactly as a standalone ``python -m repro run``
-would.  Partitions are disjoint (the paper-era machines' crossbars
-partition per board-set), so a job's virtual behaviour is *bitwise
-identical* to its standalone run no matter what else is scheduled around
-it; the soak harness proves that instead of assuming it, because shared
-process state (caches, registries) is exactly where isolation regressions
-would creep in.  The job's simulated makespan then becomes its lease
-duration on the shared timeline, clipped to the spec's ``time_budget``
-(overruns are terminated with a typed error — the bound that makes
-conservative backfill starvation-free).
+The service is one event loop over its own virtual timeline: a heap of
+arrivals and lease releases ordered by (virtual time, push sequence).  A
+lease is a set of node indices in the scheduler's ledger; no simulated
+machine stands behind it.  The job's computation runs at full fidelity on
+its partition — a private engine and cluster of ``spec.nodes`` processors
+of the same platform, from :meth:`SageRuntime.build` — exactly as a
+standalone ``python -m repro run`` would.  Partitions are disjoint (the
+paper-era machines' crossbars partition per board-set), so a job's virtual
+behaviour is *bitwise identical* to its standalone run no matter what else
+is scheduled around it; the soak harness proves that instead of assuming
+it, because shared process state (caches, registries) is exactly where
+isolation regressions would creep in.  The job's simulated makespan then
+becomes its lease duration on the shared timeline, clipped to the spec's
+``time_budget`` (overruns are terminated with a typed error — the bound
+that makes conservative backfill starvation-free).
 """
 
 from __future__ import annotations
 
 import heapq
 import time as _time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.admission import lint_job_spec
+from ..chaos.invariants import Violation
 from ..analysis.cost import predict_makespan
 from ..apps import benchmark_mapping
 from ..core.codegen import generate_glue
 from ..core.runtime import DEFAULT_CONFIG, SageRuntime
 from ..core.runtime.policy import FaultPolicy
-from ..machine import Environment, PlatformSpec, SimCluster, get_platform
+from ..machine import PlatformSpec, get_platform
 from ..perf.cache import cache_scope, cache_stats, forget_scope
 from .bus import EventBus
 from .errors import (
+    AdmissionError,
     AdmissionRejected,
     JobFailedError,
     TimeBudgetExceeded,
@@ -119,31 +123,28 @@ class ServiceStats:
 
 
 class SageService:
-    """A job queue + scheduler + bus over one shared simulated cluster."""
+    """A job queue + scheduler + bus over one shared cluster of nodes."""
 
     def __init__(
         self,
         nodes: int = 8,
         platform: str = "cspi",
         seed: int = 0,
-        default_quota: Optional[TenantQuota] = None,
         quotas: Optional[Dict[str, TenantQuota]] = None,
-        bus: Optional[EventBus] = None,
         admission_lint: bool = True,
         static_reservations: bool = False,
     ):
+        if nodes < 1:
+            raise AdmissionError(
+                f"a service needs at least one node to lease, got {nodes}")
         self.platform_name = platform
         self.platform = get_platform(platform)
-        self.env = Environment()
-        self.cluster = SimCluster.from_platform(self.env, self.platform, nodes)
-        self.bus = bus if bus is not None else EventBus()
+        self.bus = EventBus()
         self.scheduler = ClusterScheduler(
-            self.cluster, seed=seed,
-            default_quota=default_quota, quotas=quotas,
+            nodes, seed=seed, quotas=quotas,
             predictor=self._predicted_budget if static_reservations else None,
         )
         self.admission_lint = admission_lint
-        self.static_reservations = static_reservations
         self._lint_cache: Dict[Tuple, "object"] = {}
         self._predict_cache: Dict[Tuple, float] = {}
         self.queue = JobQueue(max_queued=self.scheduler.max_queued)
@@ -192,7 +193,7 @@ class SageService:
         if report is None:
             report = lint_job_spec(
                 spec, self.platform,
-                cluster_nodes=len(self.cluster),
+                cluster_nodes=self.scheduler.nodes,
                 quota=self.scheduler.quota_for(spec.tenant),
             )
             self._lint_cache[key] = report
@@ -303,7 +304,7 @@ class SageService:
                 job.id, f"{type(exc).__name__}: {exc}"
             )
             job.end_time = self.now
-            self._drop_scope(job)
+            forget_scope(job.id)  # the job's cache-traffic row only
             self._push(self.now, "release", job)
             return self.now
 
@@ -334,13 +335,9 @@ class SageService:
             job.state = "completed"
             t_end = self.now + result.makespan
         job.end_time = t_end
-        self._drop_scope(job)
+        forget_scope(job.id)
         self._push(t_end, "release", job)
         return t_end
-
-    def _drop_scope(self, job: Job) -> None:
-        """Finished jobs drop their cache-traffic row (artifacts stay shared)."""
-        forget_scope(job.id)
 
     def _release(self, job: Job) -> None:
         lease = self.scheduler.release(job.id)
@@ -421,20 +418,27 @@ class SageService:
             wall_seconds=self.wall_seconds,
         )
 
-    def check_clean(self) -> List:
-        """Post-run machine hygiene, reusing the chaos leak checks: the
-        shared cluster must hold zero slots with empty queues and no lease
-        may stay active.  Returns the :class:`~repro.chaos.invariants.Violation`
-        list (empty when clean)."""
-        from ..chaos.invariants import check_quiescent
-
-        violations = list(check_quiescent(self.env, self.cluster))
-        if self.scheduler.active:
-            from ..chaos.invariants import Violation
-
-            violations.append(Violation(
-                "no_leaked_slots",
-                f"{len(self.scheduler.active)} lease(s) still active "
-                "after the service drained",
-            ))
-        return violations
+    def check_clean(self) -> List[Violation]:
+        """Post-drain lease hygiene: no lease may stay active, and every
+        node must be held exactly once — by the free set or by one active
+        lease.  Returns the :class:`~repro.chaos.invariants.Violation` list
+        (empty when clean), one per stray lease or mis-held node."""
+        sched = self.scheduler
+        out = [
+            Violation("no_leaked_slots",
+                      f"job {job_id}: lease on nodes {list(lease.nodes)} "
+                      "still active after the service drained")
+            for job_id, lease in sched.active.items()
+        ]
+        holders = Counter(sched.free_nodes)
+        for lease in sched.active.values():
+            holders.update(lease.nodes)
+        for node in sorted(set(holders) | set(range(sched.nodes))):
+            want = 1 if 0 <= node < sched.nodes else 0
+            if holders[node] != want:
+                out.append(Violation(
+                    "no_leaked_slots",
+                    f"node {node}: held {holders[node]} time(s) by the free "
+                    f"set and active leases, expected {want}",
+                ))
+        return out

@@ -17,7 +17,7 @@ soak's verdict type), empty when the invariant holds:
    error, no tenant ever holds more nodes than its quota concurrently, and
    no backfilled job pushed a FIFO-older job past its recorded reservation.
 4. **zero leaked slots** — :meth:`SageService.check_clean`: after the drain
-   every CPU slot is free, nobody is queued, and no lease is active.
+   no lease is active and every node is back in the scheduler's free set.
 5. **telemetry consistency** — each executed job re-published exactly one
    probe-telemetry message, under its own topic only, whose digest matches
    the job's result; lifecycle message counts reconcile with job states.

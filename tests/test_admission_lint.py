@@ -80,11 +80,10 @@ class TestServiceIntegration:
         assert any(f.rule == "JOB002" for f in info.value.findings)
         assert "JOB002" in str(info.value)
         assert isinstance(info.value, AdmissionError)
-        # no scheduler state changed: no lease, no slot, no job record
+        # no scheduler state changed: no lease, no leased node, no job record
         assert svc.scheduler.grants == 0
         assert not svc.scheduler.active
-        census = svc.cluster.slot_census()
-        assert all(count == 0 for count in census.values()), census
+        assert svc.scheduler.free_nodes == tuple(range(8))
         assert not svc.jobs
 
     def test_admitted_specs_still_run_to_completion(self):

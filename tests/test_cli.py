@@ -130,6 +130,37 @@ def test_counts_must_be_positive(sage_text_path, capsys, command, flag, value):
     assert f"{flag}: expected a positive integer, got {value!r}" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_serve_nodes_must_be_positive(tmp_path, capsys, value):
+    batch = tmp_path / "b.json"
+    batch.write_text('{"jobs": []}')
+    with pytest.raises(SystemExit) as exit_:
+        main(["serve", "--batch", str(batch), "--nodes", value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"--nodes: expected a positive integer, got {value!r}" in err
+
+
+@pytest.mark.parametrize("value", ["0", "48", "-4"])
+def test_analyze_size_must_be_a_power_of_two(capsys, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["analyze", "fft2d", "--n", value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"--n: expected a positive power of two, got {value!r}" in err
+
+
+def test_run_nodes_must_match_the_hardware_model(design_path, capsys):
+    # The design carries a 2-processor model; --nodes 4 would be ignored.
+    assert main(["run", design_path, "--nodes", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "hardware model has 2 processors" in err
+    assert "--platform" in err
+    assert main(["run", design_path, "--nodes", "2", "--iterations", "1"]) == 0
+
+
 #: Studies whose quick protocol runs in about 2 s or less.  gray-failure's
 #: quick protocol takes about 9 s, so only CI's report regeneration (every
 #: study at the full protocol) runs it.

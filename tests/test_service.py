@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.service import (
+    AdmissionError,
     JobSpec,
     QuotaExceededError,
     SageService,
@@ -12,7 +13,6 @@ from repro.service import (
     TimeBudgetExceeded,
     UnknownJobError,
 )
-from repro.chaos.invariants import check_quiescent
 from repro.service.cli import serve_main, submit_main
 from repro.service.service import run_standalone
 from repro.service.soak import default_quotas, generate_workload
@@ -64,14 +64,13 @@ class TestEndToEnd:
         svc.run()
         assert svc.idle
         assert svc.check_clean() == []
-        assert svc.cluster.slot_census() == {i: 0 for i in range(8)}
+        assert svc.scheduler.free_nodes == tuple(range(8))
+        assert svc.scheduler.active == {}
 
     def test_batches_leave_no_engine_events_behind(self):
-        # The service's own environment never runs: a lease that parked a
-        # granted request event there would pile up one per node per job
-        # until a check_clean() drained them.
+        # Leases live in the scheduler's ledger alone: after every batch
+        # each node is free again and no lease is left active.
         svc = make_service(quotas=default_quotas())
-        env = svc.env
         for j in range(3):
             for spec, offset in generate_workload(20, 7000 + j):
                 try:
@@ -80,20 +79,42 @@ class TestEndToEnd:
                     pass
             svc.run()
             assert svc.scheduler.history
-            assert not (env._imm0 or env._imm1 or env._queue)
-            assert svc.cluster.slot_census() == {i: 0 for i in range(8)}
-        assert env.events_processed == 0
+            assert svc.scheduler.free_nodes == tuple(range(8))
+            assert svc.scheduler.active == {}
         assert svc.check_clean() == []
 
     def test_held_lease_still_caught_by_the_leak_checks(self):
         svc = make_service()
-        svc.cluster.acquire_slot(3)
-        assert svc.cluster.slot_census()[3] == 1
-        leaks = check_quiescent(svc.env, svc.cluster)
+        jid = svc.submit(JobSpec(size=16, nodes=2))
+        svc.run()
+        assert svc.check_clean() == []
+        sched = svc.scheduler
+        # A lease left active after the drain names its job.
+        lease = sched.grant(svc.job(jid), now=svc.now)
+        leaks = svc.check_clean()
+        assert [v.invariant for v in leaks] == ["no_leaked_slots"]
+        assert f"job {jid}" in leaks[0].detail
+        sched.release(jid)
+        assert svc.check_clean() == []
+        # A node dropped from the free set, held by no lease, is named.
+        sched._free.discard(3)
+        leaks = svc.check_clean()
         assert [v.invariant for v in leaks] == ["no_leaked_slots"]
         assert "node 3" in leaks[0].detail
-        svc.cluster.release_slot(3)
-        assert check_quiescent(svc.env, svc.cluster) == []
+        sched._free.add(3)
+        assert svc.check_clean() == []
+        # A node both free and leased is named too.
+        sched.active[jid] = lease
+        sched._free.update(lease.nodes)
+        leaks = svc.check_clean()
+        assert len(leaks) == 1 + len(lease.nodes)
+        assert all(f"node {n}" in v.detail
+                   for n, v in zip(lease.nodes, leaks[1:]))
+
+    def test_service_needs_a_node(self):
+        for nodes in (0, -1):
+            with pytest.raises(AdmissionError):
+                SageService(nodes=nodes)
 
     def test_node_quota_rejected_at_submit(self):
         svc = make_service(quotas={"small": TenantQuota(max_nodes=2)})

@@ -8,18 +8,13 @@ a random soak.
 
 import pytest
 
-from repro.machine import Environment, SimCluster, get_platform
 from repro.service.errors import AdmissionError, QuotaExceededError
 from repro.service.jobs import Job, JobQueue, JobSpec
 from repro.service.scheduler import ClusterScheduler, TenantQuota
 
 
-def make_cluster(nodes=4):
-    return SimCluster.from_platform(Environment(), get_platform("cspi"), nodes)
-
-
 def make_sched(nodes=4, seed=0, **kw):
-    return ClusterScheduler(make_cluster(nodes), seed=seed, **kw)
+    return ClusterScheduler(nodes, seed=seed, **kw)
 
 
 def job(i, tenant="t", nodes=2, budget=5.0):
@@ -50,20 +45,13 @@ class TestLeasing:
         j = job(0, nodes=3)
         lease = sched.grant(j, now=0.0)
         assert lease.width == 3
-        assert sum(sched.cluster.slot_census().values()) == 3
+        assert sched.active == {j.id: lease}
         assert len(sched.free_nodes) == 1
+        assert set(sched.free_nodes).isdisjoint(lease.nodes)
         sched.release(j.id)
-        assert sum(sched.cluster.slot_census().values()) == 0
-        assert len(sched.free_nodes) == 4
+        assert sched.active == {}
+        assert sched.free_nodes == (0, 1, 2, 3)
         assert sched.history[0].nodes == lease.nodes
-
-    def test_double_acquire_same_slot_is_an_error(self):
-        cluster = make_cluster(2)
-        cluster.acquire_slot(0)
-        with pytest.raises(ValueError):
-            cluster.acquire_slot(0)
-        cluster.release_slot(0)
-        assert cluster.slot_census() == {0: 0, 1: 0}
 
     def test_grant_over_capacity_raises(self):
         sched = make_sched(4)

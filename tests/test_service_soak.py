@@ -3,7 +3,6 @@ plus targeted quota/admission stress and slot-leak accounting."""
 
 import pytest
 
-from repro.chaos.invariants import check_quiescent
 from repro.service import JobSpec, QuotaExceededError, SageService, TenantQuota
 from repro.service.soak import (
     check_determinism,
@@ -97,13 +96,12 @@ class TestQuotaStress:
         assert svc.check_clean() == []
 
     def test_slot_accounting_returns_to_zero_after_soak(self):
-        """Reuses the chaos-harness leak checks against the shared cluster."""
+        """Every node is back in the scheduler's free set after a soak."""
         from repro.service.soak import _build_service, _drive
 
         svc = _build_service(8, 3)
         _drive(svc, generate_workload(200, 3))
-        assert check_quiescent(svc.env, svc.cluster) == []
-        assert svc.cluster.slot_census() == {i: 0 for i in range(8)}
+        assert svc.scheduler.free_nodes == tuple(range(8))
         assert svc.scheduler.active == {}
         assert svc.scheduler.grants == svc.scheduler.releases
         assert svc.check_clean() == []
