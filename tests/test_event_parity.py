@@ -31,7 +31,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.apps import benchmark_mapping, fft2d_model
+from repro.apps import benchmark_mapping, corner_turn_model, fft2d_model
 from repro.core.codegen import generate_glue
 from repro.core.runtime import DEFAULT_CONFIG, FaultPolicy, SageRuntime
 from repro.experiments.runner import APP_BUILDERS
@@ -52,6 +52,11 @@ GOLDEN_EVENTS = {
 #: (nodes, iterations) -> events, fft2d 256^2 on the CSPI platform,
 #: timing-only: the benchmark's steady_8n and scale_32n designs.
 FFT2D_256_EVENTS = {(8, 5): 4326, (32, 2): 19203}
+
+#: Corner turn 256^2 on 8 CSPI nodes, 5 iterations, timing-only: the
+#: benchmark's other steady_8n design, as (events, trace digest).
+CORNER_TURN_256_8N = (
+    3566, "5f0a4a0b8c3a06be611f28ceb028ea3e75a7ace6c5f0ae6d2819474a9ef62eec")
 
 #: (app, alltoall algorithm, nodes) -> (events, digest of every rank's
 #: starts/finishes): the hand-coded baselines, 256^2, 5 iterations, CSPI,
@@ -102,6 +107,16 @@ def test_fft2d_256_event_count(nodes, iterations):
                                 config=DEFAULT_CONFIG.timing_only())
     runtime.run(iterations=iterations)
     assert runtime.env.events_processed == FFT2D_256_EVENTS[nodes, iterations]
+    assert not runtime._in_flight
+
+
+def test_corner_turn_256_event_count_and_digest():
+    model = corner_turn_model(256, 8)
+    glue = generate_glue(model, benchmark_mapping(model, 8), num_processors=8)
+    runtime = SageRuntime.build(glue, get_platform("cspi"),
+                                config=DEFAULT_CONFIG.timing_only())
+    result = runtime.run(iterations=5)
+    assert (runtime.env.events_processed, digest_of(result)) == CORNER_TURN_256_8N
     assert not runtime._in_flight
 
 
