@@ -72,6 +72,15 @@ def _load_any_design(path: str):
     return load_design(path)
 
 
+def _mapping_fits(mapping, nodes: int) -> bool:
+    """Fewer nodes than a stored mapping names is a usage error, not a traceback."""
+    needed = max(mapping.processors_used(), default=-1) + 1
+    if needed > nodes:
+        print(f"error: the design's stored mapping uses {needed} processors; "
+              f"it cannot run on {nodes}", file=sys.stderr)
+    return needed <= nodes
+
+
 def cmd_generate(args) -> int:
     from .core.codegen import generate_glue
     from .core.model import round_robin_mapping
@@ -83,6 +92,8 @@ def cmd_generate(args) -> int:
         return 2
     if mapping is None:
         mapping = round_robin_mapping(app, nodes)
+    elif not _mapping_fits(mapping, nodes):
+        return 2
     if args.c:
         from .core.codegen import generate_c_glue
 
@@ -269,6 +280,8 @@ def cmd_run(args) -> int:
         nodes = args.nodes or (hardware.processor_count if hardware else 4)
     if mapping is None:
         mapping = round_robin_mapping(app, nodes)
+    elif not _mapping_fits(mapping, nodes):
+        return 2
     glue = generate_glue(app, mapping, num_processors=nodes,
                          optimize_buffers=args.optimized)
     runtime = SageRuntime.build(glue, machine, config=DEFAULT_CONFIG.timing_only())

@@ -212,6 +212,14 @@ class RuntimeBuffer:
         self._storage: Dict[int, Any] = {}
         self._pending_reads: Dict[int, int] = {}
 
+        # Every endpoint thread's region and shape, derived once for the data path.
+        self._src_regions: List[Region] = [thread_region(
+            self.shape, self.src_striping, self.src_threads, t) for t in range(self.src_threads)]
+        self._dst_regions: List[Region] = [thread_region(
+            self.shape, self.dst_striping, self.dst_threads, t) for t in range(self.dst_threads)]
+        self._src_shapes = [region_shape(r) for r in self._src_regions]
+        self._dst_shapes = [region_shape(r) for r in self._dst_regions]
+
         # The kernel walks the plan per (thread, iteration); index it once.
         self._msgs_from: Dict[int, List[PlannedMessage]] = {
             s: [] for s in range(self.src_threads)
@@ -238,10 +246,10 @@ class RuntimeBuffer:
 
     # -- regions -----------------------------------------------------------
     def src_region(self, thread: int) -> Region:
-        return thread_region(self.shape, self.src_striping, self.src_threads, thread)
+        return self._src_regions[thread]
 
     def dst_region(self, thread: int) -> Region:
-        return thread_region(self.shape, self.dst_striping, self.dst_threads, thread)
+        return self._dst_regions[thread]
 
     def src_region_bytes(self, thread: int) -> int:
         return region_elems(self.src_region(thread)) * self.elem_bytes
@@ -278,8 +286,8 @@ class RuntimeBuffer:
 
     def write(self, iteration: int, src_thread: int, data: Any) -> None:
         """Sender thread deposits its region of the logical data."""
-        region = self.src_region(src_thread)
-        want = region_shape(region)
+        region = self._src_regions[src_thread]
+        want = self._src_shapes[src_thread]
         store = self._backing(iteration)
         if not self.execute_data:
             # Phantom mode: check only the shape contract.
@@ -304,14 +312,11 @@ class RuntimeBuffer:
             raise BufferError(
                 f"buffer {self.name!r}: read of iteration {iteration} before any write"
             )
-        region = self.dst_region(dst_thread)
         store = self._storage[iteration]
         if self.execute_data:
-            out = np.array(store[region_indexer(region)], copy=True)
+            out = np.array(store[region_indexer(self._dst_regions[dst_thread])], copy=True)
         else:
-            from .phantom import PhantomArray
-
-            out = PhantomArray(region_shape(region), self.dtype)
+            out = PhantomArray(self._dst_shapes[dst_thread], self.dtype)
         self._pending_reads[iteration] -= 1
         if self._pending_reads[iteration] <= 0:
             # All receivers served: free the iteration's backing storage.

@@ -4,9 +4,10 @@
 functions, data striping, and buffer management."*
 
 :class:`SageRuntime` loads a generated glue module onto a simulated cluster
-and executes the application: one simulation process per (function instance,
-thread, iteration), sequenced by dataflow dependencies expressed as message
-arrival events, with the processor resources serialising co-mapped threads.
+and executes the application: each (function instance, thread, iteration)
+walks its thread's step list (:mod:`~repro.core.runtime.threads`), sequenced
+by dataflow dependencies expressed as message arrival events, with the
+processor resources serialising co-mapped threads.
 The run-time charges the overheads Table 1.0 measures — function-table
 dispatch, logical-buffer staging copies, striping bookkeeping — per the
 :class:`~repro.core.runtime.config.RuntimeConfig`.
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ...machine.cluster import SimCluster
-from ...machine.faults import FaultError, FaultPlan, NodeFailure, TransientError
+from ...machine.faults import FaultError, FaultPlan, NodeFailure
 from ...machine.platforms import PlatformSpec
-from ...machine.simulator import Environment, Event, Interrupt, Process
+from ...machine.simulator import Environment, Event
 from ...mpi.detector import FailureDetector, HeartbeatConfig
 from ...perf.cache import cache_scope
 from ...perf.registry import REGISTRY
@@ -35,10 +36,11 @@ from .buffers import (
     remote_traffic_tables,
 )
 from .config import DEFAULT_CONFIG, RuntimeConfig
-from .kernels import KernelBinding, KernelError, ThreadContext, default_bindings
+from .kernels import KernelBinding, ThreadContext, default_bindings
 from .policy import FAIL_FAST, FaultPolicy, TransportError
 from .probes import ProbeEvent, Trace
 from .striping import plan_remote_traffic_delta
+from .threads import RuntimeError_, ThreadPlan, ThreadRun
 from .transfer import Shipment, Transfer
 
 __all__ = ["SageRuntime", "RunResult", "RuntimeError_"]
@@ -46,10 +48,6 @@ __all__ = ["SageRuntime", "RunResult", "RuntimeError_"]
 #: Faults the checkpoint_restart policy may replay through.  Genuine bugs
 #: (KernelError, RuntimeError_, MemoryError, ...) always propagate.
 RECOVERABLE_FAULTS = (FaultError, TransportError)
-
-
-class RuntimeError_(RuntimeError):
-    """Run-time kernel configuration/execution failure."""
 
 
 @dataclass
@@ -209,6 +207,8 @@ class SageRuntime:
 
         # Message arrival events: (buffer_id, iteration, dst_thread) -> [Event]
         self._arrivals: Dict[Tuple[int, int, int], List[Event]] = {}
+        # Every thread's plan, in execution order (built on first use).
+        self._plans: Optional[List[ThreadPlan]] = None
         # (function_id, thread) -> cached region/dtype dicts for ThreadContext
         # (iteration-independent; kernels treat them as read-only).
         self._ctx_dicts: Dict[Tuple[int, int], tuple] = {}
@@ -324,35 +324,29 @@ class SageRuntime:
                 if self.fault_policy.checkpoints:
                     return self._run_checkpointed(iterations)
 
-                procs = []
+                runs = []
                 for k in range(iterations):
-                    procs.extend(self._spawn_iteration(k))
-                done = self.env.all_of(procs)
-                self.env.run(until=done)
+                    runs.extend(self._spawn_iteration(k))
+                self.env.run(until=self.env.all_of([run.done for run in runs]))
                 return self._build_result(iterations)
         finally:
             self._stop_detector()
 
-    def _spawn_iteration(self, k: int) -> List[Process]:
-        """Create iteration ``k``'s bookkeeping events and thread processes."""
+    def _spawn_iteration(self, k: int) -> List[ThreadRun]:
+        """Create iteration ``k``'s bookkeeping events and thread runs."""
         sink_thread_count = sum(self.functions[f]["threads"] for f in self.sink_ids)
-        self._iter_complete[k] = self.env.event()
+        self._iter_complete[k] = Event(self.env)
         self._iter_sinks_left[k] = sink_thread_count
-        for fid in self.glue.execution_order:
-            entry = self.functions[fid]
-            for t in range(entry["threads"]):
-                self._thread_done[(fid, t, k)] = self.env.event()
-        procs = []
-        for fid in self.glue.execution_order:
-            entry = self.functions[fid]
-            for t in range(entry["threads"]):
-                procs.append(
-                    self.env.process(
-                        self._thread_proc(fid, t, k),
-                        name=f"{entry['name']}[{t}]#{k}",
-                    )
-                )
-        return procs
+        plans = self._plans
+        if plans is None:
+            plans = self._plans = [
+                ThreadPlan(self, fid, t)
+                for fid in self.glue.execution_order
+                for t in range(self.functions[fid]["threads"])
+            ]
+        for plan in plans:
+            self._thread_done[(plan.fid, plan.thread, k)] = Event(self.env)
+        return [ThreadRun(self, plan, k) for plan in plans]
 
     def _build_result(self, iterations: int) -> RunResult:
         return RunResult(
@@ -389,18 +383,18 @@ class SageRuntime:
                 snapshot = [buf.snapshot() for buf in self.buffers]
                 self._probe_runtime("checkpoint", detail=f"iteration {k}",
                                     iteration=k)
-                procs = self._spawn_iteration(k)
+                runs = self._spawn_iteration(k)
                 try:
-                    self._run_iteration(procs)
+                    self._run_iteration(runs)
                     break
                 except RECOVERABLE_FAULTS as exc:
                     if restarts_left <= 0:
                         raise
                     restarts_left -= 1
-                    self._recover(k, snapshot, exc, procs)
+                    self._recover(k, snapshot, exc, runs)
         return self._build_result(iterations)
 
-    def _run_iteration(self, procs: List[Process]) -> None:
+    def _run_iteration(self, runs: List[ThreadRun]) -> None:
         """Run one iteration attempt, racing it against failure detection.
 
         Without a detector this is a plain run-until-done.  With one, a
@@ -410,7 +404,7 @@ class SageRuntime:
         dead node (which, for a node others are merely *waiting on*, may be
         never).
         """
-        done = self.env.all_of(procs)
+        done = self.env.all_of([run.done for run in runs])
         detect = self._detect_event
         if detect is None:
             self.env.run(until=done)
@@ -501,14 +495,14 @@ class SageRuntime:
                 ev.succeed((target, time))
 
     def _recover(self, k: int, snapshot: List[dict], exc: BaseException,
-                 procs: List[Process]) -> None:
+                 runs: List[ThreadRun]) -> None:
         """Roll iteration ``k`` back to its checkpoint after a fault."""
-        # Kill every straggler of the failed attempt (its thread processes,
-        # then its transfers in spawn order) before state is reset; they die
-        # at the current instant, releasing any held resources.
-        for proc in procs:
-            if proc.is_alive:
-                proc.interrupt("fault recovery")
+        # Kill every straggler of the failed attempt (its thread runs, then
+        # its transfers in spawn order) before state is reset; they die at
+        # the current instant, releasing any held resources.
+        for run in runs:
+            if not run.done.triggered:
+                run.cancel()
         for transfer in list(self._in_flight):
             transfer.cancel()
         injector = self.cluster.faults
@@ -674,8 +668,10 @@ class SageRuntime:
     def _install_placement(
         self, new_map: Mapping, old_proc: Dict[Tuple[int, int], int]
     ) -> List[Tuple[int, int]]:
-        """Make ``processor_of`` answer from ``new_map`` (overrides only
-        where it departs from the glue); returns the threads that moved."""
+        """Make ``processor_of`` answer from ``new_map`` (overrides only where
+        it departs from the glue), dropping the thread plans; returns the
+        threads that moved."""
+        self._plans = None
         moved_keys: List[Tuple[int, int]] = []
         for key, p in new_map.items():
             if p != old_proc[key]:
@@ -1029,156 +1025,6 @@ class SageRuntime:
             nbytes=total,
         )
 
-    # -- per-thread process ---------------------------------------------------------
-    def _thread_proc(self, fid: int, thread: int, iteration: int):
-        try:
-            yield from self._thread_body(fid, thread, iteration)
-        except Interrupt:
-            # Fault recovery killed this attempt; _recover resets all state.
-            return
-
-    def _thread_body(self, fid: int, thread: int, iteration: int):
-        entry = self.functions[fid]
-        node = self.cluster.node(self.processor_of(fid, thread))
-        cfg = self.config
-
-        # Sequence iterations of the same thread (a thread is one control flow).
-        if iteration > 0:
-            yield self._thread_done[(fid, thread, iteration - 1)]
-
-        if fid in self.source_ids:
-            # Data-set admission control (§3.3 latency protocol measures one
-            # data set at a time; pipelined runs raise max_in_flight).
-            m = cfg.max_in_flight
-            if m is not None and iteration >= m:
-                yield self._iter_complete[iteration - m]
-            # Source pacing, when requested.
-            if self._source_interval > 0:
-                target = iteration * self._source_interval
-                if target > self.env.now:
-                    yield self.env.timeout(target - self.env.now)
-
-        # Wait for every inbound message of this iteration.
-        for buf in self.in_buffers[fid]:
-            events = self._arrival_events(buf, iteration, thread)
-            if events:
-                yield self.env.all_of(events)
-
-        # Straggler telemetry (migrate_stragglers): measure the wall span
-        # from dispatch to exit per node.  A limping node's CPU-rate scaling
-        # and queueing delay inflate this honestly — the score needs no
-        # access to the injector's ground truth.
-        track_progress = self.fault_policy.migrates_stragglers
-        busy_from = self.env.now if track_progress else 0.0
-
-        # Function-table dispatch (the per-invocation run-time cost).
-        if cfg.dispatch_overhead > 0:
-            yield from node.busy(cfg.dispatch_overhead)
-        self._probe("enter", entry, thread, iteration, node.index)
-
-        binding = self.bindings[entry["kernel"]]
-
-        # Receive-side logical->physical buffer copies (unpack).  DMA
-        # endpoints read the logical buffer directly and pay nothing here.
-        if not binding.dma_endpoint:
-            recv_bytes = sum(
-                self._staged_bytes(buf, thread, cfg.recv_staging, receive=True)
-                for buf in self.in_buffers[fid]
-            )
-            if recv_bytes:
-                yield from node.copy(recv_bytes)
-
-        inputs = {
-            buf.dst_port: buf.read(iteration, thread) for buf in self.in_buffers[fid]
-        }
-        ctx = self._make_ctx(entry, thread, iteration)
-
-        flops = binding.flops(ctx, inputs)
-        copy_bytes = binding.copy_bytes(ctx, inputs)
-        if flops:
-            # Generated call sites sustain a fraction of hand-tuned MFLOPS
-            # (generic strides through port descriptors).
-            yield from node.compute(flops / cfg.compute_efficiency)
-        if copy_bytes:
-            yield from node.copy(copy_bytes)
-
-        policy = self.fault_policy
-        attempts = 1 + (policy.max_retries if policy.mode != "fail_fast" else 0)
-        delay = policy.backoff
-        for attempt in range(1, attempts + 1):
-            try:
-                outputs = binding.run(ctx, inputs)
-                break
-            except TransientError as exc:
-                if attempt >= attempts:
-                    raise
-                self._probe_runtime(
-                    "retry",
-                    detail=(
-                        f"kernel {entry['kernel']} attempt {attempt}: {exc}"
-                    ),
-                    processor=node.index,
-                    iteration=iteration,
-                )
-                if delay > 0:
-                    yield self.env.timeout(self._jittered(delay))
-                delay *= policy.backoff_factor
-            except KernelError:
-                raise
-            except Exception as exc:
-                raise RuntimeError_(
-                    f"kernel {entry['kernel']!r} of {entry['name']!r} failed: {exc}"
-                ) from exc
-
-        if fid in self.source_ids:
-            # "Latency ... from when the first data leaves the data source":
-            # keep the earliest source completion of this iteration.
-            prev = self._source_times.get(iteration)
-            self._source_times[iteration] = (
-                self.env.now if prev is None else min(prev, self.env.now)
-            )
-            self._probe("source", entry, thread, iteration, node.index)
-        if fid in self.sink_ids:
-            # "... to the time the final result is output to the data sink":
-            # keep the latest sink completion.
-            self._sink_times[iteration] = max(
-                self._sink_times.get(iteration, 0.0), self.env.now
-            )
-            self._probe("sink", entry, thread, iteration, node.index)
-
-        # Send-side staging copies (pack) + deposit into logical buffers.
-        for buf in self.out_buffers[fid]:
-            if buf.src_port not in outputs:
-                raise RuntimeError_(
-                    f"kernel {entry['kernel']!r} produced no data for port "
-                    f"{buf.src_port!r} (has {sorted(outputs)})"
-                )
-            if binding.dma_endpoint and not cfg.stage_dma_sources:
-                staged = 0  # optimised glue: source DMAs into the buffer
-            else:
-                staged = self._staged_bytes(buf, thread, cfg.send_staging, receive=False)
-            if staged:
-                yield from node.copy(staged)
-            buf.write(iteration, thread, outputs[buf.src_port])
-            # Rotated send order (start past your own thread id) so concurrent
-            # redistributions don't all target destination 0 first (ejection
-            # convoys); this is the schedule a pairwise exchange produces.
-            for msg in buf.send_order(thread):
-                Transfer(self, buf, msg, iteration, entry, node)
-
-        if track_progress:
-            per_node = self._iter_busy.setdefault(iteration, {})
-            per_node[node.index] = (
-                per_node.get(node.index, 0.0) + (self.env.now - busy_from)
-            )
-
-        self._probe("exit", entry, thread, iteration, node.index)
-        if fid in self.sink_ids:
-            self._iter_sinks_left[iteration] -= 1
-            if self._iter_sinks_left[iteration] == 0:
-                self._iter_complete[iteration].succeed()
-        self._thread_done[(fid, thread, iteration)].succeed()
-
     def _staged_bytes(self, buf: RuntimeBuffer, thread: int, policy: str, receive: bool) -> int:
         """Bytes charged to the staging copy under the given policy."""
         if policy == "none":
@@ -1239,10 +1085,11 @@ class SageRuntime:
     ) -> None:
         trace = self.trace
         if trace.enabled:  # else skip the ProbeEvent allocation entirely
-            trace.events.append(ProbeEvent(
+            # The thread and message kinds are known-good: skip the check.
+            trace.events.append(tuple.__new__(ProbeEvent, (
                 self.env.now, kind, entry["name"], entry["id"], thread,
                 processor, iteration, detail, nbytes,
-            ))
+            )))
 
     def _probe_runtime(
         self,

@@ -51,18 +51,20 @@ class Shipment(Crossing):
 
 class Transfer(Shipment):
     """One message of ``buf``'s plan for ``iteration`` from the thread on
-    ``node``; a key of ``runtime._in_flight`` (spawn order) until it ends.
-    Nothing awaits ``done``: a stage that raises leaves the engine step."""
+    ``node`` to arrival ``slot`` of ``dst_entry``'s thread on ``dst``; a key
+    of ``runtime._in_flight`` (spawn order) until it ends.  Nothing awaits
+    ``done``: a stage that raises leaves the engine step."""
 
-    __slots__ = ("buf", "msg", "src_entry", "node")
+    __slots__ = ("buf", "msg", "src_entry", "node", "dst_entry", "slot")
 
     def __init__(self, rt: "SageRuntime", buf: RuntimeBuffer, msg,
-                 iteration: int, src_entry: dict, node: SimNode):
+                 iteration: int, src_entry: dict, node: SimNode, dst: int,
+                 dst_entry: dict, slot: int):
         self.buf, self.msg, self.src_entry, self.node = buf, msg, src_entry, node
+        self.dst_entry, self.slot = dst_entry, slot
         # Shipment's constructor without the label, inlined: once per message.
         self.rt, self.iteration = rt, iteration
-        Crossing.__init__(self, rt.env, rt.cluster.fabric, node.index,
-                          rt.processor_of(buf.dst_function, msg.dst_thread),
+        Crossing.__init__(self, rt.env, rt.cluster.fabric, node.index, dst,
                           msg.nbytes, *rt._retry_rule)
         rt._in_flight[self] = None
 
@@ -82,7 +84,8 @@ class Transfer(Shipment):
             self._send()
 
     def _bookkept(self) -> None:
-        self.node.check_alive()
+        if self.node.faults is not None:
+            self.node.check_alive()
         self._send()
 
     def _send(self) -> None:
@@ -96,8 +99,8 @@ class Transfer(Shipment):
 
     def _arrive(self, _outcome) -> None:
         rt, buf, msg = self.rt, self.buf, self.msg
-        rt._probe("arrive", rt.functions[buf.dst_function], msg.dst_thread,
-                  self.iteration, self.dst, buf.name, msg.nbytes)
-        rt._arrival_events(buf, self.iteration, msg.dst_thread)[buf.message_slot(msg)].succeed()
+        rt._probe("arrive", self.dst_entry, msg.dst_thread, self.iteration,
+                  self.dst, buf.name, msg.nbytes)
+        rt._arrival_events(buf, self.iteration, msg.dst_thread)[self.slot].succeed()
         self._end()
         self.done.succeed()

@@ -18,10 +18,10 @@ Every message, whoever sends it, crosses the fabric as a :class:`Crossing`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict
 
 from .faults import LinkFailure
-from .simulator import Environment, Event, Resource, Timeout
+from .simulator import CallbackProcess, Environment, Resource
 
 __all__ = ["LinkSpec", "FabricSpec", "Fabric", "TransferOutcome", "Crossing"]
 
@@ -193,22 +193,18 @@ class Fabric:
         return _CLEAN
 
 
-class Crossing:
+class Crossing(CallbackProcess):
     """One message from ``src`` to ``dst``, starting itself: ``Fabric.route``,
     inject -> [shared] -> eject held for the wire time, ``Fabric.verdict``,
     then retry or finish (the stage table is in ``docs/RUNTIME.md``).
 
-    A hand-rolled simulator process with one verb — *hold these resources
-    for this long, then continue there* — scheduling exactly the events a
-    generator process would, in the same order.  ``done`` fires with the
-    accepted :class:`TransferOutcome` (nothing if cancelled); a stage that
-    raises fails ``done`` if it is awaited, else leaves the engine step.
-    Senders subclass it: ``attempts``/``backoff``/``factor`` and the hooks
-    below are their retry rule and their own stages."""
+    A :class:`~repro.machine.simulator.CallbackProcess`: ``done`` fires with
+    the accepted :class:`TransferOutcome` (nothing if cancelled).  Senders
+    subclass it: ``attempts``/``backoff``/``factor`` and the hooks below are
+    their retry rule and their own stages."""
 
-    __slots__ = ("env", "fabric", "src", "dst", "nbytes", "done", "_chain",
-                 "_held", "_duration", "_then", "_target", "_attempt",
-                 "_attempts", "_delay", "_factor")
+    __slots__ = ("fabric", "src", "dst", "nbytes", "_attempt", "_attempts",
+                 "_delay", "_factor")
 
     #: A delivered-but-corrupted payload arrives (the receiver checks it).
     corrupt_ok = False
@@ -216,105 +212,13 @@ class Crossing:
     def __init__(self, env: Environment, fabric: Fabric, src: int, dst: int,
                  nbytes: float, attempts: int = 1, backoff: float = 0.0,
                  factor: float = 1.0):
-        self.env, self.fabric = env, fabric
+        self.fabric = fabric
         self.src, self.dst, self.nbytes = src, dst, nbytes
-        self.done = Event(env)
-        #: Resources to hold together, in acquisition order.  The first
-        #: ``_held`` are held; ``_target`` is the next one's request or, with
-        #: all held, the timeout after which they go back and ``_then`` runs.
-        self._chain: Tuple[Resource, ...] = ()
-        self._held = 0
-        self._then: Optional[Callable[[], None]] = self._begin
-        # As with a process's start event, _target stays unset: a crossing
-        # cancelled before it starts still starts, and dies at the kick.
-        self._target: Optional[Event] = None
         self._attempt, self._attempts = 1, attempts
         self._delay, self._factor = backoff, factor
-        Event(env).succeed().callbacks.append(self._elapsed)
-
-    # -- process mechanics ---------------------------------------------------
-    def _hold(self, chain: Tuple[Resource, ...], duration: float,
-              then: Callable[[], None]) -> None:
-        self._chain, self._duration, self._then = chain, duration, then
-        if chain:
-            self._target = request = chain[0].request()
-            request.callbacks.append(self._granted)
-        else:
-            self._target = timeout = Timeout(self.env, duration)
-            timeout.callbacks.append(self._elapsed)
-
-    def _granted(self, request: Event) -> None:
-        if not request._ok:  # the resource was reset under the request
-            self._fail(request._value)
-            return
-        held = self._held = self._held + 1
-        chain = self._chain
-        if held < len(chain):
-            self._target = request = chain[held].request()
-            request.callbacks.append(self._granted)
-        else:
-            self._target = timeout = Timeout(self.env, self._duration)
-            timeout.callbacks.append(self._elapsed)
-
-    def _elapsed(self, _event: Event) -> None:
-        try:
-            self._release()
-            self._then()
-        except BaseException as exc:
-            self._fail(exc)
-
-    def _release(self) -> None:
-        """Withdraw the pending request and release what is held, innermost
-        first — a generator's ``try``/``finally`` blocks."""
-        chain = self._chain
-        self._chain = ()
-        if self._held < len(chain):
-            chain[self._held].cancel(self._target)
-        while self._held:
-            self._held -= 1
-            chain[self._held].release()
-
-    def _end(self) -> None:
-        self._then = None  # also breaks the cycle through the bound method
-
-    def _die(self) -> None:
-        self._end()
-        self._release()
-
-    def _fail(self, exc: BaseException) -> None:
-        self._die()
-        if not self.done.callbacks:
-            raise exc
-        self.done.fail(exc)
-
-    def _finish(self, value: Any = None) -> None:
-        self._end()
-        self.done.succeed(value)
-
-    def _detach(self) -> None:
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            step = self._granted if self._held < len(self._chain) else self._elapsed
-            if step in target.callbacks:
-                target.callbacks.remove(step)
-
-    def cancel(self) -> None:
-        """Kill the crossing now (fault recovery): a kick event at the current
-        instant withdraws its pending request and releases what it holds."""
-        self._detach()
-        Event(self.env).succeed().callbacks.append(self._cancelled)
-
-    def _cancelled(self, _kick: Event) -> None:
-        if self._then is None:
-            return  # finished or failed in the meantime
-        self._detach()  # it may have moved on to another event since cancel()
-        self._die()
-        self.done.succeed()
+        CallbackProcess.__init__(self, env)
 
     # -- the crossing ---------------------------------------------------------
-    def _begin(self) -> None:
-        self._cross()
-
     def _cross(self) -> None:
         """One attempt: admission, then the ports held for the wire time."""
         try:
@@ -350,6 +254,8 @@ class Crossing:
             self._hold((), sleep, self._cross)
         else:
             self._cross()
+
+    _begin = _cross
 
     # -- the sender's hooks ---------------------------------------------------
     def _backoff(self, failure: Any, delay: float) -> float:

@@ -178,6 +178,8 @@ class SimNode:
         :meth:`check_alive` once the time has elapsed."""
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
+        if self.faults is None:  # nothing to check or scale
+            return seconds
         self.check_alive()
         return self._rate_scaled(seconds)
 

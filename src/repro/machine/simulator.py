@@ -2,9 +2,9 @@
 
 A small, self-contained, SimPy-flavoured kernel used by every timed layer of
 the reproduction: the simulated cluster, the message-passing library, and the
-SAGE run-time.  Processes are Python generators that ``yield`` *events*; the
-:class:`Environment` advances a virtual clock and resumes processes when the
-events they wait on fire.
+SAGE run-time.  Processes are generators that ``yield`` *events* (or
+:class:`CallbackProcess` state machines); the :class:`Environment` advances a
+virtual clock and resumes processes when the events they wait on fire.
 
 Design notes
 ------------
@@ -15,9 +15,9 @@ Design notes
   event firing at the current instant — every ``succeed``/``fail``, process
   start, and post-processing callback).  Those never enter the heap; they go
   to two deques holding only current-instant entries (priority 0 for
-  callback hand-offs, priority 1 for events), and :meth:`Environment.step`
-  merges deques and heap in exact ``(time, priority, sequence)`` order.
-  Only real timeouts pay ``heappush``/``heappop``.
+  callback hand-offs, priority 1 for events), and one loop merges deques and
+  heap in exact ``(time, priority, sequence)`` order: ``run`` drains through
+  it, ``step`` runs it for one entry.  Only real timeouts pay ``heappush``.
 * A process may yield:
     - :class:`Timeout`     -- resume after a virtual delay,
     - :class:`Event`       -- resume when someone triggers it,
@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Environment",
@@ -44,6 +44,7 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
+    "CallbackProcess",
     "Store",
     "Resource",
     "Interrupt",
@@ -139,11 +140,9 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(env)
-        self.delay = float(delay)
-        self.triggered = True
-        self._ok = True
-        self._value = value
+        # Event.__init__, inlined: timeouts are among the hottest allocations.
+        self.env, self.callbacks, self._value, self._ok = env, [], value, True
+        self.triggered, self.processed, self.delay = True, False, float(delay)
         if self.delay == 0.0:
             env._imm1.append((next(env._seq), self))
         else:
@@ -315,12 +314,125 @@ class AnyOf(Event):
         return on_child
 
 
+class CallbackProcess:
+    """A process written as callbacks, with one verb — *hold these resources
+    for this long* (or *wait for this event*), *then continue there* — that
+    schedules exactly the events a generator process would, in the same
+    order.  Subclasses start in ``_begin``.  ``done`` fires with
+    :meth:`_finish`'s value (nothing if cancelled); a stage that raises fails
+    ``done`` if it is awaited, else leaves the engine step."""
+
+    __slots__ = ("env", "done", "_chain", "_held", "_duration", "_then",
+                 "_target")
+
+    def __init__(self, env: "Environment"):
+        self.env, self.done = env, Event(env)
+        #: Resources to hold together, in acquisition order.  The first
+        #: ``_held`` are held; ``_target`` is the next one's request or, with
+        #: all held, the timeout (or awaited event) before ``_then`` runs.
+        self._chain: Tuple[Resource, ...] = ()
+        self._held, self._then = 0, self._begin
+        # As with a Process's start event, _target stays unset: a process
+        # cancelled before it starts still starts, and dies at the kick.
+        self._target: Optional[Event] = None
+        Event(env).succeed().callbacks.append(self._elapsed)
+
+    # -- process mechanics ---------------------------------------------------
+    def _hold(self, chain: Tuple["Resource", ...], duration: float,
+              then: Callable[[], None]) -> None:
+        self._chain, self._duration, self._then = chain, duration, then
+        if chain:
+            self._target = request = chain[0].request()
+            request.callbacks.append(self._granted)
+        else:
+            self._target = timeout = Timeout(self.env, duration)
+            timeout.callbacks.append(self._elapsed)
+
+    def _wait(self, event: Event, then: Callable[[], None]) -> None:
+        """A generator's ``yield event``: continue at ``then`` once it fired."""
+        self._then, self._target = then, event
+        event.add_callback(self._elapsed)
+
+    def _granted(self, request: Event) -> None:
+        if not request._ok:  # the resource was reset under the request
+            self._fail(request._value)
+            return
+        held = self._held = self._held + 1
+        chain = self._chain
+        if held < len(chain):
+            self._target = request = chain[held].request()
+            request.callbacks.append(self._granted)
+        else:
+            self._target = timeout = Timeout(self.env, self._duration)
+            timeout.callbacks.append(self._elapsed)
+
+    def _elapsed(self, event: Event) -> None:
+        try:
+            chain = self._chain
+            if chain:  # _release, inlined: every resource is held by now
+                self._chain = ()
+                while self._held:
+                    self._held -= 1
+                    chain[self._held].release()
+            if not event._ok:  # an awaited event failed: raise it here
+                raise event._value
+            self._then()
+        except BaseException as exc:
+            self._fail(exc)
+
+    def _release(self) -> None:
+        """Withdraw the pending request and release what is held, innermost
+        first — a generator's ``try``/``finally`` blocks."""
+        chain = self._chain
+        self._chain = ()
+        if self._held < len(chain):
+            chain[self._held].cancel(self._target)
+        while self._held:
+            self._held -= 1
+            chain[self._held].release()
+
+    def _end(self) -> None:
+        self._then = None  # also breaks the cycle through the bound method
+
+    def _fail(self, exc: BaseException) -> None:
+        self._end()
+        self._release()
+        if not self.done.callbacks:
+            raise exc
+        self.done.fail(exc)
+
+    def _finish(self, value: Any = None) -> None:
+        self._end()
+        self.done.succeed(value)
+
+    def _detach(self) -> None:
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            step = self._granted if self._held < len(self._chain) else self._elapsed
+            if step in target.callbacks:
+                target.callbacks.remove(step)
+
+    def cancel(self) -> None:
+        """Kill the process now (fault recovery): a kick event at the current
+        instant withdraws its pending request and releases what it holds."""
+        self._detach()
+        Event(self.env).succeed().callbacks.append(self._cancelled)
+
+    def _cancelled(self, _kick: Event) -> None:
+        if self._then is None:
+            return  # finished or failed in the meantime
+        self._detach()  # it may have moved on to another event since cancel()
+        self._end()
+        self._release()
+        self.done.succeed()
+
+
 class Environment:
     """The simulation driver: virtual clock plus the event queues.
 
     Scheduling state is split three ways (see the module docstring):
 
-    * ``_queue``  -- heap of future entries ``(time, priority, seq, event)``,
+    * ``_queue``  -- heap of future entries ``(time, 1, seq, event)``,
     * ``_imm0``   -- deque of ``(seq, event, fn)`` callback hand-offs at the
       current instant (priority 0),
     * ``_imm1``   -- deque of ``(seq, event)`` triggered events at the
@@ -329,7 +441,7 @@ class Environment:
     The split preserves the exact ``(time, priority, sequence)`` total order
     of the single-heap implementation: deque entries are always stamped with
     the current time, the clock only advances when both deques are empty, and
-    :meth:`step` compares sequence numbers against the heap top to interleave
+    ``_loop`` compares sequence numbers against the heap top to interleave
     same-instant heap entries correctly.
     """
 
@@ -368,54 +480,57 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling internals ---------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
-        if delay == 0.0 and priority == 1:
-            # Zero-delay fast path: never touches the heap.
-            self._imm1.append((next(self._seq), event))
-        else:
-            heapq.heappush(
-                self._queue, (self._now + delay, priority, next(self._seq), event)
-            )
+    def _schedule(self, event: Event) -> None:
+        # Triggered events fire at the current instant: never the heap.
+        self._imm1.append((next(self._seq), event))
 
     def _schedule_callback(self, fn: Callable, event: Event) -> None:
         # Callback hand-offs always run at the current instant, priority 0.
         self._imm0.append((next(self._seq), event, fn))
 
     # -- running ----------------------------------------------------------
+    def _loop(self, stop: Any, horizon: float, limit: int) -> int:
+        """The one event loop: process entries in ``(time, priority, seq)``
+        order until ``stop`` is processed, the next lies past ``horizon``,
+        ``limit`` have run (-1: no limit) or the queues are empty.  Returns
+        how many it processed (all counted, a callback that raises too)."""
+        imm0, imm1, queue = self._imm0, self._imm1, self._queue
+        heappop = heapq.heappop
+        n = 0
+        try:
+            while n != limit and not stop.processed:
+                if imm0:
+                    # Priority-0 hand-offs at the current instant always sort
+                    # ahead of priority-1 entries; the heap never holds one.
+                    _seq, event, fn = imm0.popleft()
+                    n += 1
+                    fn(event)
+                    continue
+                if imm1:
+                    # A same-instant heap entry (priority 1, like every heap
+                    # entry) scheduled before the deque head must fire first.
+                    if queue and queue[0][0] <= self._now and queue[0][2] < imm1[0][0]:
+                        event = heappop(queue)[3]
+                    else:
+                        event = imm1.popleft()[1]
+                elif queue and queue[0][0] <= horizon:
+                    when, _prio, _seq, event = heappop(queue)
+                    self._now = when
+                else:
+                    break
+                n += 1
+                callbacks, event.callbacks = event.callbacks, None
+                event.processed = True
+                for cb in callbacks or ():
+                    cb(event)
+        finally:
+            self.events_processed += n
+        return n
+
     def step(self) -> None:
         """Process the next scheduled entry in ``(time, priority, seq)`` order."""
-        imm0 = self._imm0
-        if imm0:
-            # Priority-0 hand-offs at the current instant always sort ahead
-            # of priority-1 entries, and the heap never holds priority 0.
-            _seq, event, fn = imm0.popleft()
-            self.events_processed += 1
-            fn(event)
-            return
-        imm1 = self._imm1
-        queue = self._queue
-        event = None
-        if imm1:
-            if queue:
-                head = queue[0]
-                # A same-instant heap entry with a smaller key was scheduled
-                # before the deque head and must fire first.
-                if head[0] <= self._now and (head[1], head[2]) < (1, imm1[0][0]):
-                    heapq.heappop(queue)
-                    self._now = head[0]
-                    event = head[3]
-            if event is None:
-                event = imm1.popleft()[1]
-        else:
-            if not queue:
-                raise SimulationError("no more events")
-            when, _prio, _seq, event = heapq.heappop(queue)
-            self._now = when
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        event.processed = True
-        for cb in callbacks or ():
-            cb(event)
+        if not self._loop(_NEVER, _FOREVER, 1):
+            raise SimulationError("no more events")
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -424,32 +539,30 @@ class Environment:
         virtual time), or an :class:`Event` (run until it fires, returning its
         value / raising its exception).
         """
-        step = self.step
         if isinstance(until, Event):
-            stop = until
-            while not stop.processed:
-                if not (self._imm0 or self._imm1 or self._queue):
-                    raise SimulationError(
-                        "simulation ran out of events before 'until' fired "
-                        "(deadlock: a process is waiting on an event nobody "
-                        "will trigger)"
-                    )
-                step()
-            if stop.ok:
-                return stop.value
-            raise stop.value
-        if until is None:
-            while self._imm0 or self._imm1 or self._queue:
-                step()
-            return None
-        horizon = float(until)
+            self._loop(until, _FOREVER, -1)
+            if not until.processed:
+                raise SimulationError(
+                    "simulation ran out of events before 'until' fired "
+                    "(deadlock: a process is waiting on an event nobody "
+                    "will trigger)"
+                )
+            if until.ok:
+                return until.value
+            raise until.value
+        horizon = _FOREVER if until is None else float(until)
         if horizon < self._now:
             raise SimulationError("'until' is in the past")
-        while (self._imm0 or self._imm1
-               or (self._queue and self._queue[0][0] <= horizon)):
-            step()
-        self._now = horizon
+        self._loop(_NEVER, horizon, -1)
+        if until is not None:
+            self._now = horizon
         return None
+
+
+#: The ``stop`` of a loop that ends on time or on empty queues only.
+_NEVER = Event.__new__(Event)
+_NEVER.processed = False
+_FOREVER = float("inf")
 
 
 class Store:
@@ -525,10 +638,12 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that fires when the caller holds the resource."""
-        ev = Event(self.env)
+        env = self.env
+        ev = Event(env)
         if self._in_use < self.capacity:
             self._in_use += 1
-            ev.succeed()
+            ev.triggered, ev._value = True, None  # succeed(), inlined
+            env._imm1.append((next(env._seq), ev))
         else:
             self._waiters.append(ev)
         return ev

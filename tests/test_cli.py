@@ -161,6 +161,21 @@ def test_run_nodes_must_match_the_hardware_model(design_path, capsys):
     assert main(["run", design_path, "--nodes", "2", "--iterations", "1"]) == 0
 
 
+def test_too_few_nodes_for_the_stored_mapping_is_a_usage_error(tmp_path, capsys):
+    # A 4-processor mapping on a 4-processor model, run or generated on 2.
+    app = fft2d_model(32, 4)
+    path = str(tmp_path / "design4.json")
+    save_design(path, app, hardware=cspi_hardware(4),
+                mapping=benchmark_mapping(app, 4))
+    for argv in (["run", path, "--platform", "cspi", "--nodes", "2"],
+                 ["generate", path, "--nodes", "2"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "stored mapping uses 4 processors" in err
+        assert "Traceback" not in err
+    assert main(["generate", path, "--nodes", "4"]) == 0
+
+
 #: Studies whose quick protocol runs in about 2 s or less.  gray-failure's
 #: quick protocol takes about 9 s, so only CI's report regeneration (every
 #: study at the full protocol) runs it.

@@ -102,7 +102,7 @@ class TestDeadlockDetection:
         # Sabotage: the transport "loses" every message (no transfer is
         # started, so no arrival event fires) and receivers wait forever.
         monkeypatch.setattr(
-            "repro.core.runtime.kernel.Transfer", lambda *args: None
+            "repro.core.runtime.threads.Transfer", lambda *args: None
         )
         with pytest.raises(SimulationError, match="deadlock"):
             runtime.run(iterations=1)

@@ -53,8 +53,10 @@ class Rig:
             buf.message_slot(self.msg)]
 
     def start(self) -> Transfer:
-        return Transfer(self.rt, self.buf, self.msg, 0,
-                        self.rt.functions[self.buf.src_function], self.node)
+        rt, buf = self.rt, self.buf
+        return Transfer(rt, buf, self.msg, 0, rt.functions[buf.src_function],
+                        self.node, self.dst, rt.functions[buf.dst_function],
+                        buf.message_slot(self.msg))
 
     def step_until(self, condition) -> None:
         for _ in range(200):
