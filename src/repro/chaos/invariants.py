@@ -109,12 +109,12 @@ def check_quiescent(
 
     out: List[Violation] = []
     steps = 0
-    while env._imm0 or env._imm1 or env._queue:
+    while env.pending():
         if steps >= _DRAIN_STEP_LIMIT:
             out.append(Violation(
                 "no_wedged_processes",
                 f"event queue still busy after {steps} drain steps "
-                f"({len(env._queue)} heap entries pending)",
+                f"({env.pending()} entries pending)",
             ))
             return out
         try:

@@ -5,7 +5,6 @@ from .simulator import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     Resource,
     SimulationError,
@@ -31,7 +30,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "SimulationError",

@@ -39,10 +39,12 @@ produce bit-identical timelines, traces, and reports.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, List, Optional, Tuple
 
-from .simulator import Environment
+from .simulator import CallbackProcess, Environment, Resource, Timer
 
 __all__ = [
     "FaultError",
@@ -349,9 +351,37 @@ class FaultPlan:
         return f"FaultPlan(seed={self.seed}, {', '.join(parts) or 'empty'})"
 
 
+class _Hang(CallbackProcess):
+    """A hung node: its CPU held for ``duration``, so work charged to it
+    stalls and then resumes."""
+
+    __slots__ = ("_cpu", "_for")
+
+    def __init__(self, env: Environment, cpu: Resource, duration: float):
+        super().__init__(env)
+        self._cpu, self._for = cpu, duration
+
+    def _begin(self) -> None:
+        self._hold((self._cpu,), self._for, self._finish)
+
+
 def _link_key(a: int, b: int) -> Tuple[int, int]:
     """Links are undirected: both directions share fault state."""
     return (a, b) if a <= b else (b, a)
+
+
+#: Each timed fault's injector methods: the one applying it at ``at``, and
+#: the one clearing it ``duration`` later (None: it is never cleared).
+#: A :class:`LinkFlap` schedules its cycles itself.
+_ACTIONS = {
+    NodeCrash: ("_apply_crash", None),
+    NodeHang: ("_apply_hang", None),
+    NodeJoin: ("_apply_join", None),
+    LinkDrop: ("_apply_drop", "_clear_drop"),
+    LinkDegrade: ("_apply_degrade", "_clear_degrade"),
+    NodeSlow: ("_apply_slow", "_clear_slow"),
+    LinkJitter: ("_apply_jitter", "_clear_jitter"),
+}
 
 
 class FaultInjector:
@@ -393,57 +423,25 @@ class FaultInjector:
             node.faults = self
         actions = []
         for order, ev in enumerate(self.plan.events):
-            if isinstance(ev, NodeCrash):
-                actions.append((ev.at, order, lambda e=ev: self._apply_crash(e)))
-            elif isinstance(ev, NodeHang):
-                actions.append((ev.at, order, lambda e=ev: self._apply_hang(e)))
-            elif isinstance(ev, NodeJoin):
-                actions.append((ev.at, order, lambda e=ev: self._apply_join(e)))
-            elif isinstance(ev, LinkDrop):
-                actions.append((ev.at, order, lambda e=ev: self._apply_drop(e)))
-                if ev.duration is not None:
-                    actions.append(
-                        (ev.at + ev.duration, order,
-                         lambda e=ev: self._clear_drop(e))
-                    )
-            elif isinstance(ev, LinkDegrade):
-                actions.append((ev.at, order, lambda e=ev: self._apply_degrade(e)))
-                if ev.duration is not None:
-                    actions.append(
-                        (ev.at + ev.duration, order,
-                         lambda e=ev: self._clear_degrade(e))
-                    )
-            elif isinstance(ev, NodeSlow):
-                actions.append((ev.at, order, lambda e=ev: self._apply_slow(e)))
-                if ev.duration is not None:
-                    actions.append(
-                        (ev.at + ev.duration, order,
-                         lambda e=ev: self._clear_slow(e))
-                    )
-            elif isinstance(ev, LinkJitter):
-                actions.append((ev.at, order, lambda e=ev: self._apply_jitter(e)))
-                if ev.duration is not None:
-                    actions.append(
-                        (ev.at + ev.duration, order,
-                         lambda e=ev: self._clear_jitter(e))
-                    )
-            elif isinstance(ev, LinkFlap):
+            if isinstance(ev, LinkFlap):
                 half = ev.period / 2.0
                 for cycle in range(ev.cycles):
                     start = ev.at + cycle * ev.period
                     actions.append(
-                        (start, order,
-                         lambda e=ev, c=cycle: self._apply_flap_down(e, c))
-                    )
+                        (start, order, partial(self._apply_flap_down, ev, cycle)))
                     actions.append(
-                        (start + half, order,
-                         lambda e=ev, c=cycle: self._apply_flap_up(e, c))
-                    )
-            else:  # pragma: no cover - plan builders prevent this
-                raise TypeError(f"unknown fault event {ev!r}")
+                        (start + half, order, partial(self._apply_flap_up, ev, cycle)))
+                continue
+            apply, clear = _ACTIONS[type(ev)]
+            actions.append((ev.at, order, partial(getattr(self, apply), ev)))
+            if clear is not None and ev.duration is not None:
+                actions.append((ev.at + ev.duration, order,
+                                partial(getattr(self, clear), ev)))
         if actions:
             actions.sort(key=lambda a: (a[0], a[1]))
-            self.env.process(self._run_schedule(actions), name="fault-injector")
+            first = actions[0][0] - self.env.now
+            Timer(self.env, partial(self._apply_due, deque(actions)),
+                  first if first > 0 else None)
 
     def subscribe(self, fn: Callable[[float, str, str, int], None]) -> None:
         """``fn(time, kind, detail, node)`` is called for every applied fault."""
@@ -456,11 +454,13 @@ class FaultInjector:
             fn(now, kind, detail, node)
 
     # -- schedule execution ----------------------------------------------
-    def _run_schedule(self, actions):
-        for at, _order, fn in actions:
-            if at > self.env.now:
-                yield self.env.timeout(at - self.env.now)
-            fn()
+    def _apply_due(self, actions: deque) -> Optional[float]:
+        """Apply the action the schedule waited for and every later one due
+        by now; return the wait for the next, or None when none is left."""
+        actions.popleft()[2]()
+        while actions and actions[0][0] <= self.env.now:
+            actions.popleft()[2]()
+        return actions[0][0] - self.env.now if actions else None
 
     def _apply_crash(self, ev: NodeCrash) -> None:
         self._dead[ev.node] = (self.env.now, ev.permanent)
@@ -493,20 +493,7 @@ class FaultInjector:
     def _apply_hang(self, ev: NodeHang) -> None:
         node = self.cluster.node(ev.node)
         self._record("node_hang", f"node {ev.node} for {ev.duration:g}s", ev.node)
-        self.env.process(self._hold_cpu(node, ev.duration),
-                         name=f"hang:node{ev.node}")
-
-    def _hold_cpu(self, node, duration: float):
-        req = node.cpu.request()
-        try:
-            yield req
-        except BaseException:
-            node.cpu.cancel(req)
-            raise
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            node.cpu.release()
+        _Hang(self.env, node.cpu, ev.duration)
 
     def _apply_slow(self, ev: NodeSlow) -> None:
         self._slow[ev.node] = ev.factor

@@ -182,8 +182,3 @@ class SimNode:
             return seconds
         self.check_alive()
         return self._rate_scaled(seconds)
-
-    def busy(self, seconds: float):
-        """Generator: occupy the CPU for an explicit duration."""
-        yield from self.cpu.use(self.busy_time(seconds))
-        self.check_alive()

@@ -2,9 +2,18 @@
 
 A small, self-contained, SimPy-flavoured kernel used by every timed layer of
 the reproduction: the simulated cluster, the message-passing library, and the
-SAGE run-time.  Processes are generators that ``yield`` *events* (or
-:class:`CallbackProcess` state machines); the :class:`Environment` advances a
-virtual clock and resumes processes when the events they wait on fire.
+SAGE run-time.  The :class:`Environment` advances a virtual clock and fires
+events; processes wait on them.  A process is written one of two ways:
+
+* :class:`CallbackProcess` -- a state machine whose one verb is *hold these
+  resources for this long* (or *wait for this event*), *then continue
+  there*.  Every actor of the system itself is one: the run-time's thread
+  bodies and message crossings, the failure detector's periodic duties and
+  RTT probes, and the fault injector's schedule and hangs (the last two on
+  :class:`Timer`).  Fault recovery kills one with ``cancel()``, which
+  withdraws its pending request and releases what it holds.
+* :class:`Process` -- a generator that yields events; only user rank
+  programs (``repro.mpi``) are written this way, and nothing kills them.
 
 Design notes
 ------------
@@ -18,7 +27,7 @@ Design notes
   callback hand-offs, priority 1 for events), and one loop merges deques and
   heap in exact ``(time, priority, sequence)`` order: ``run`` drains through
   it, ``step`` runs it for one entry.  Only real timeouts pay ``heappush``.
-* A process may yield:
+* A generator process may yield:
     - :class:`Timeout`     -- resume after a virtual delay,
     - :class:`Event`       -- resume when someone triggers it,
     - :class:`Process`     -- resume when the child process terminates
@@ -47,24 +56,13 @@ __all__ = [
     "CallbackProcess",
     "Store",
     "Resource",
-    "Interrupt",
     "SimulationError",
+    "Timer",
 ]
 
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value supplied by the interrupter.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -164,7 +162,7 @@ class Process(Event):
         super().__init__(env)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
+        self._target: Optional[Event] = None  # the event it waits on
         # Kick off at the current instant.  Equivalent to creating an Event,
         # succeeding it and registering _resume, but without the method-call
         # overhead — process starts are one of the hottest schedule sites.
@@ -174,77 +172,27 @@ class Process(Event):
         init.callbacks.append(self._resume)
         env._imm1.append((next(env._seq), init))
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant."""
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        if self._target is not None and self.env._active_proc is not self:
-            # Detach from whatever it was waiting on.
-            target = self._target
-            if target.callbacks is not None and self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-            self._target = None
-        kick = Event(self.env)
-        kick.triggered = True
-        kick._ok = True
-        kick._value = Interrupt(cause)
-        self.env._schedule(kick)
-        kick.callbacks = []
-        kick.add_callback(self._resume_interrupt)
-
-    # -- stepping --------------------------------------------------------
-    def _resume_interrupt(self, event: Event) -> None:
-        if self.triggered:
-            return  # finished in the meantime
-        # The process may have resumed and re-suspended on a new event since
-        # interrupt() detached it (e.g. it was waiting on an already-processed
-        # event whose queued resume could not be cancelled).  Detach from the
-        # current target too, or the stale callback would resume the process a
-        # second time after the Interrupt is delivered.
-        if self._target is not None:
-            target = self._target
-            if target.callbacks is not None and self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-            self._target = None
-        self._step(event.value, throw=True)
-
     def _resume(self, event: Event) -> None:
-        if self.triggered:
-            return  # already finished (e.g. killed by an interrupt)
-        self._target = None
-        self._step(event._value, throw=not event._ok)
-
-    def _step(self, value: Any, throw: bool) -> None:
         env = self.env
-        prev = env._active_proc
-        env._active_proc = self
         try:
-            if throw:
-                target = self.generator.throw(value)
+            if event._ok:
+                target = self.generator.send(event._value)
             else:
-                target = self.generator.send(value)
+                target = self.generator.throw(event._value)
         except StopIteration as stop:
-            env._active_proc = prev
             self.triggered = True
             self._ok = True
             self._value = stop.value
             env._schedule(self)
             return
         except BaseException as exc:
-            env._active_proc = prev
             self.triggered = True
             self._ok = False
             self._value = exc
             if not self.callbacks:
-                env._active_proc = prev
                 raise
             env._schedule(self)
             return
-        env._active_proc = prev
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {type(target).__name__}, "
@@ -427,6 +375,32 @@ class CallbackProcess:
         self.done.succeed()
 
 
+class Timer(CallbackProcess):
+    """Calls ``body()`` after ``delay`` (at the start if ``None``), then again
+    after each delay it returns, until it returns ``None``: a generator's
+    ``yield env.timeout(delay)`` loop, with the same events."""
+
+    __slots__ = ("_body", "_delay")
+
+    def __init__(self, env: "Environment", body: Callable[[], Optional[float]],
+                 delay: Optional[float] = None):
+        super().__init__(env)
+        self._body, self._delay = body, delay
+
+    def _begin(self) -> None:
+        if self._delay is None:
+            self._fire()
+        else:
+            self._hold((), self._delay, self._fire)
+
+    def _fire(self) -> None:
+        delay = self._body()
+        if delay is None:
+            self._finish()
+        else:
+            self._hold((), delay, self._fire)
+
+
 class Environment:
     """The simulation driver: virtual clock plus the event queues.
 
@@ -445,8 +419,7 @@ class Environment:
     same-instant heap entries correctly.
     """
 
-    __slots__ = ("_now", "_queue", "_imm0", "_imm1", "_seq", "_active_proc",
-                 "events_processed")
+    __slots__ = ("_now", "_queue", "_imm0", "_imm1", "_seq", "events_processed")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -454,7 +427,6 @@ class Environment:
         self._imm0: deque = deque()
         self._imm1: deque = deque()
         self._seq = itertools.count()
-        self._active_proc: Optional[Process] = None
         #: number of queue entries processed so far (wall-clock perf metric)
         self.events_processed = 0
 
@@ -478,6 +450,10 @@ class Environment:
 
     def any_of(self, events: Iterable[Event]) -> "AnyOf":
         return AnyOf(self, events)
+
+    def pending(self) -> int:
+        """How many scheduled entries have not been processed yet."""
+        return len(self._imm0) + len(self._imm1) + len(self._queue)
 
     # -- scheduling internals ---------------------------------------------
     def _schedule(self, event: Event) -> None:
@@ -660,7 +636,7 @@ class Resource:
     def cancel(self, request: Event) -> None:
         """Abandon a pending or granted (but unconsumed) request.
 
-        Needed when the requesting process is interrupted while suspended on
+        Needed when the requesting process is killed while suspended on
         the request event: a granted slot must be released and a queued
         request withdrawn, or the resource leaks and every later requester
         deadlocks.
@@ -695,9 +671,9 @@ class Resource:
     def use(self, duration: float):
         """Generator helper: hold the resource for ``duration``.
 
-        Interrupt-safe: an :class:`Interrupt` (or any exception) thrown while
-        suspended on the request is translated into a cancellation, so the
-        slot is never leaked.
+        Kill-safe: an exception thrown while suspended on the request (or
+        the generator being closed) withdraws the request, so the slot is
+        never leaked.
         """
         req = self.request()
         try:

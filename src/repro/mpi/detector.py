@@ -69,17 +69,20 @@ order — identical seed + config reproduce bit-identical detection times.
 
 Cost: the channel runs on engine callbacks, not processes.  Per rank and
 period it takes one tick, one start event for the round's messages and one
-arrival per distinct wire time (see ``docs/DETECTION.md``).
+arrival per distinct wire time (see ``docs/DETECTION.md``).  Each rank's tick
+and RTT prober, and each joiner, is a :class:`~repro.machine.simulator.Timer`;
+each probe is a :class:`~repro.machine.simulator.CallbackProcess`.
+:meth:`FailureDetector.stop` and :meth:`FailureDetector.clear` *cancel* them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..machine.cluster import SimCluster
-from ..machine.faults import FaultError
-from ..machine.simulator import Environment, Event, Interrupt, Process
+from ..machine.simulator import CallbackProcess, Environment, Event, Timer
 from .adaptive import RttEstimator
 
 __all__ = ["HeartbeatConfig", "FailureDetector", "DetectorEvent"]
@@ -274,7 +277,7 @@ class FailureDetector:
         n = len(self.ranks)
         self._gap_pool = RttEstimator(
             peak_decay=RttEstimator.PEAK_DECAY / (n * (n - 1)))
-        self._procs: Dict[int, List[Process]] = {}
+        self._procs: Dict[int, List[Timer]] = {}
         self._started = False
         # -- join protocol state -----------------------------------------
         self._join_events: Dict[int, Event] = {}
@@ -295,20 +298,20 @@ class FailureDetector:
         return self
 
     def stop(self) -> None:
-        """Kill every detector process (end-of-run cleanup)."""
+        """Cancel every detector process (end-of-run cleanup)."""
         for procs in self._procs.values():
             for proc in procs:
-                if proc.is_alive:
-                    proc.interrupt("detector stopped")
+                if not proc.done.triggered:
+                    proc.cancel()
         self._procs.clear()
         self._started = False
 
     def _launch(self, rank: int) -> None:
-        self._procs[rank] = [self.env.process(self._tick(rank), name=f"hb:{rank}")]
-        if self.config.rtt_probe_every > 0:
-            self._procs[rank].append(
-                self.env.process(self._prober(rank), name=f"hb-rtt:{rank}")
-            )
+        cfg = self.config
+        procs = self._procs[rank] = [
+            Timer(self.env, partial(self._tick, rank), cfg.period)]
+        if cfg.rtt_probe_every > 0:
+            procs.append(self._prober(rank))
 
     # -- observation API ---------------------------------------------------
     def subscribe(self, fn: Callable[[float, str, int, int, str], None]) -> None:
@@ -388,12 +391,12 @@ class FailureDetector:
             # ``rtt_probe_every`` periods) can sleep straight through a
             # short death window — so "all dead" is the wrong relaunch
             # test.  If *any* process died while the rank was down, restart
-            # the whole set: interrupt the stale survivors and relaunch.
+            # the whole set: cancel the stale survivors and relaunch.
             procs = self._procs.get(target, [])
-            alive = [p for p in procs if p.is_alive]
+            alive = [p for p in procs if not p.done.triggered]
             if len(alive) < len(procs) and self._node_alive(target):
                 for p in alive:
-                    p.interrupt("detector restart")
+                    p.cancel()
                 view = self.views[target]
                 for peer in view.last_heard:
                     view.last_heard[peer] = now
@@ -431,8 +434,7 @@ class FailureDetector:
         self._announce_seen = {
             pair for pair in self._announce_seen if pair[1] != rank
         }
-        self.env.process(self._joiner(rank, max_attempts),
-                         name=f"hb-join:{rank}")
+        self._join(rank, max_attempts)
         return ev
 
     def admitted(self, rank: int) -> Optional[Tuple[float, int]]:
@@ -446,19 +448,22 @@ class FailureDetector:
             return None
         return info[0] - self._join_requested[rank]
 
-    def _joiner(self, rank: int, max_attempts: int):
-        cfg = self.config
-        try:
-            for _attempt in range(max_attempts):
-                if not self._node_alive(rank):
-                    return  # the candidate died before admission
-                self._send(rank, [p for p in self.ranks if p != rank],
-                           self._receive_announce)
-                yield self.env.timeout(cfg.window)
-                if rank in self._admitted:
-                    return
-        except Interrupt:
-            return
+    def _join(self, rank: int, max_attempts: int) -> None:
+        """Announce ``rank`` to every known rank once per admission window
+        until it is admitted or dies, at most ``max_attempts`` times."""
+        sent = 0
+
+        def announce() -> Optional[float]:
+            nonlocal sent
+            if (sent == max_attempts or (sent and rank in self._admitted)
+                    or not self._node_alive(rank)):
+                return None
+            sent += 1
+            self._send(rank, [p for p in self.ranks if p != rank],
+                       self._receive_announce)
+            return self.config.window
+
+        Timer(self.env, announce)
 
     # -- the out-of-band channel -------------------------------------------
     def _send(self, src: int, dsts: List[int],
@@ -494,16 +499,6 @@ class FailureDetector:
         """The ruling on a message whose wire time has just elapsed."""
         return (self._node_alive(src)
                 and self.cluster.fabric.verdict(src, dst, self.config.ping_bytes).ok)
-
-    def _oob_send(self, src: int, dst: int):
-        """Sub-generator: one message for the RTT prober, whose ack holds the
-        target's CPU in between; returns True when the payload arrived."""
-        faults = self.cluster.faults
-        if faults is not None and not faults.link_up(src, dst):
-            return False
-        yield self.env.timeout(
-            self.cluster.fabric.wire_time(src, dst, self.config.ping_bytes))
-        return self._arrived(src, dst)
 
     def _receive_announce(self, dst: int, src: int) -> None:
         if dst not in self.views or not self._node_alive(dst):
@@ -615,47 +610,44 @@ class FailureDetector:
             if now - view.last_heard.get(target, now) > self._grace(view, target):
                 self._declare(dst, target, f"gossip from rank {src}")
 
-    def _tick(self, rank: int):
+    def _tick(self, rank: int) -> Optional[float]:
         """Every period: heartbeat every peer, then judge their silence."""
+        if not self._node_alive(rank):
+            return None  # a dead node stops heartbeating — that IS the signal
         cfg = self.config
-        try:
-            while True:
-                yield self.env.timeout(cfg.period)
-                if not self._node_alive(rank):
-                    return  # a dead node stops heartbeating — that IS the signal
-                view = self.views[rank]
-                dead = tuple(sorted(view.dead))
-                self._send(rank, [p for p in self.ranks if p != rank],
-                           lambda dst, src: self._receive_heartbeat(dst, src, dead))
-                now = self.env.now
-                # Peers come from the view each tick: membership is elastic,
-                # and an absorbed joiner must be monitored from then on.
-                for peer in list(view.last_heard):
-                    if peer in view.dead:
-                        continue
-                    if now - view.last_heard[peer] > self._grace(view, peer):
-                        view.suspicion[peer] += 1
-                        if peer not in view.suspected:
-                            view.suspected.add(peer)
-                            self._emit(
-                                "suspect", rank, peer,
-                                f"silent for {now - view.last_heard[peer]:.6f}s",
-                            )
-                        if view.suspicion[peer] >= cfg.threshold:
-                            self._declare(
-                                rank, peer,
-                                f"{view.suspicion[peer]} missed heartbeats",
-                            )
-                    elif view.suspicion[peer]:
-                        view.suspicion[peer] = 0
-                        view.suspected.discard(peer)
-                        self._emit("clear_suspect", rank, peer, "heartbeat resumed")
-        except Interrupt:
-            return
+        view = self.views[rank]
+        dead = tuple(sorted(view.dead))
+        self._send(rank, [p for p in self.ranks if p != rank],
+                   lambda dst, src: self._receive_heartbeat(dst, src, dead))
+        now = self.env.now
+        # Peers come from the view each tick: membership is elastic,
+        # and an absorbed joiner must be monitored from then on.
+        for peer in list(view.last_heard):
+            if peer in view.dead:
+                continue
+            if now - view.last_heard[peer] > self._grace(view, peer):
+                view.suspicion[peer] += 1
+                if peer not in view.suspected:
+                    view.suspected.add(peer)
+                    self._emit(
+                        "suspect", rank, peer,
+                        f"silent for {now - view.last_heard[peer]:.6f}s",
+                    )
+                if view.suspicion[peer] >= cfg.threshold:
+                    self._declare(
+                        rank, peer,
+                        f"{view.suspicion[peer]} missed heartbeats",
+                    )
+            elif view.suspicion[peer]:
+                view.suspicion[peer] = 0
+                view.suspected.discard(peer)
+                self._emit("clear_suspect", rank, peer, "heartbeat resumed")
+        return cfg.period
 
     # -- RTT probing (gray-failure / straggler detection) ------------------
-    def _prober(self, rank: int):
-        """Round-trip an RTT probe to one live peer per window, round-robin.
+    def _prober(self, rank: int) -> Timer:
+        """Start ``rank``'s RTT prober: each window, a :class:`_Probe` to
+        the next live peer, round-robin.
 
         One probe per window (not one per peer) keeps the aggregate probe
         load O(n) instead of O(n²): with every observer probing every peer
@@ -667,54 +659,19 @@ class FailureDetector:
         cfg = self.config
         interval = cfg.rtt_probe_every * cfg.period
         offset = rank
-        try:
-            while True:
-                yield self.env.timeout(interval)
-                if not self._node_alive(rank):
-                    return
-                view = self.views[rank]
-                peers = [
-                    p for p in self.ranks if p != rank and p not in view.dead
-                ]
-                if not peers:
-                    continue
-                peer = peers[offset % len(peers)]
+
+        def probe_next() -> Optional[float]:
+            nonlocal offset
+            if not self._node_alive(rank):
+                return None
+            view = self.views[rank]
+            peers = [p for p in self.ranks if p != rank and p not in view.dead]
+            if peers:
+                _Probe(self, rank, peers[offset % len(peers)])
                 offset += 1
-                self.env.process(
-                    self._probe(rank, peer),
-                    name=f"hb-probe:{rank}->{peer}",
-                )
-        except Interrupt:
-            return
+            return interval
 
-    def _probe(self, src: int, dst: int):
-        """One probe round trip: request wire time, target CPU, ack wire time.
-
-        The ack charges ``probe_cpu`` seconds on the target's CPU *through
-        its resource queue* — a limping node both stretches the charge
-        (1/cpu_factor) and queues it behind its slowed application work.
-        The ack carries the benchmark's *self-timed CPU cost* (the standard
-        canary technique: a fixed workload of known nominal cost times
-        itself rusage-style, so the sample isolates the node's execution
-        rate — immune to queueing behind co-mapped threads, yet visible
-        even on an otherwise idle limping node), while the full round-trip
-        time feeds :meth:`rtt_estimate`.
-        """
-        sent_at = self.env.now
-        arrived = yield from self._oob_send(src, dst)
-        if not arrived or not self._node_alive(dst):
-            return
-        node = self.cluster.node(dst)
-        try:
-            yield from node.busy(self.config.probe_cpu)
-        except (FaultError, Interrupt):
-            return  # target crashed/hung mid-ack: no sample
-        service = node.cpu_time_of(self.config.probe_cpu)
-        arrived = yield from self._oob_send(dst, src)
-        if arrived:
-            self._receive_probe_ack(
-                src, dst, self.env.now - sent_at, service
-            )
+        return Timer(self.env, probe_next, interval)
 
     def _receive_probe_ack(self, observer: int, target: int,
                            rtt: float, service: float) -> None:
@@ -759,3 +716,59 @@ class FailureDetector:
                     f"probe served in {service:.3g}s, back at nominal",
                 )
                 self._first_slow.pop(target, None)
+
+
+class _Probe(CallbackProcess):
+    """One RTT probe round trip: request wire time, target CPU, ack wire time.
+
+    The ack holds the target's CPU for ``probe_cpu`` seconds *through its
+    resource queue* — a limping node both stretches the charge
+    (1/cpu_factor) and queues it behind its slowed application work.  The
+    ack carries the benchmark's *self-timed CPU cost* (the standard canary
+    technique: a fixed workload of known nominal cost times itself
+    rusage-style, so the sample isolates the node's execution rate — immune
+    to queueing behind co-mapped threads, yet visible even on an otherwise
+    idle limping node), while the full round-trip time feeds
+    :meth:`FailureDetector.rtt_estimate`.  A leg that is lost, or a target
+    that is dead or dies mid-ack, ends the probe without a sample.
+    """
+
+    __slots__ = ("_det", "_src", "_dst", "_sent_at", "_node", "_service")
+
+    def __init__(self, detector: FailureDetector, src: int, dst: int):
+        super().__init__(detector.env)
+        self._det, self._src, self._dst = detector, src, dst
+        self._sent_at = detector.env.now
+
+    def _leg(self, src: int, dst: int, then: Callable[[], None]) -> None:
+        """Send one message over the heartbeat channel; ``then`` runs when
+        its wire time is over and rules on its arrival."""
+        det = self._det
+        faults = det.cluster.faults
+        if faults is not None and not faults.link_up(src, dst):
+            return self._finish()
+        self._hold((), det.cluster.fabric.wire_time(src, dst, det.config.ping_bytes), then)
+
+    def _begin(self) -> None:
+        self._leg(self._src, self._dst, self._serve)
+
+    def _serve(self) -> None:
+        det, dst = self._det, self._dst
+        if not (det._arrived(self._src, dst) and det._node_alive(dst)):
+            return self._finish()
+        node = self._node = det.cluster.node(dst)
+        self._hold((node.cpu,), node.busy_time(det.config.probe_cpu), self._served)
+
+    def _served(self) -> None:
+        det = self._det
+        if not det._node_alive(self._dst):
+            return self._finish()  # the target crashed mid-ack: no sample
+        self._service = self._node.cpu_time_of(det.config.probe_cpu)
+        self._leg(self._dst, self._src, self._acked)
+
+    def _acked(self) -> None:
+        det = self._det
+        if det._arrived(self._dst, self._src):
+            det._receive_probe_ack(self._src, self._dst,
+                                   det.env.now - self._sent_at, self._service)
+        self._finish()

@@ -3,8 +3,11 @@
 ``repro.mpi.detector.FailureDetector`` sends heartbeats, join announces and
 admission acks as plain engine callbacks: one tick per rank per period, one
 start event per round and one arrival per wire time.  This subclass is the
-design it replaced, unchanged: an emitter and a monitor process per rank,
-and one generator process per message (start, wire timeout, end).
+design it replaced: an emitter and a monitor process per rank, one
+generator process per message (start, wire timeout, end), and generator
+processes for the joiner, the RTT prober and each probe.  The processes
+that ``stop()`` and ``clear()`` cancel are
+:class:`~tests.killable_process.KillableProcess` objects.
 ``tests/test_detector.py`` runs both on random fault schedules and checks
 that they reach the same verdicts at the same virtual times, draw the same
 seeded losses, and that the production class processes no more events.
@@ -14,8 +17,9 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.machine.simulator import Interrupt
 from repro.mpi.detector import FailureDetector
+
+from .killable_process import KillableProcess
 
 __all__ = ["ReferenceDetector"]
 
@@ -25,30 +29,25 @@ class ReferenceDetector(FailureDetector):
 
     def _launch(self, rank: int) -> None:
         self._procs[rank] = [
-            self.env.process(self._emitter(rank), name=f"hb-emit:{rank}"),
-            self.env.process(self._monitor(rank), name=f"hb-mon:{rank}"),
+            KillableProcess(self.env, self._emitter(rank)),
+            KillableProcess(self.env, self._monitor(rank)),
         ]
         if self.config.rtt_probe_every > 0:
             self._procs[rank].append(
-                self.env.process(self._prober(rank), name=f"hb-rtt:{rank}")
-            )
+                KillableProcess(self.env, self._rtt_prober(rank)))
+
+    def _join(self, rank: int, max_attempts: int) -> None:
+        self.env.process(self._joiner(rank, max_attempts))
 
     def _joiner(self, rank: int, max_attempts: int):
-        cfg = self.config
-        try:
-            for _attempt in range(max_attempts):
-                if not self._node_alive(rank):
-                    return  # the candidate died before admission
-                for peer in [p for p in self.ranks if p != rank]:
-                    self.env.process(
-                        self._announce(rank, peer),
-                        name=f"hb-announce:{rank}->{peer}",
-                    )
-                yield self.env.timeout(cfg.window)
-                if rank in self._admitted:
-                    return
-        except Interrupt:
-            return
+        for _attempt in range(max_attempts):
+            if not self._node_alive(rank):
+                return  # the candidate died before admission
+            for peer in [p for p in self.ranks if p != rank]:
+                self.env.process(self._announce(rank, peer))
+            yield self.env.timeout(self.config.window)
+            if rank in self._admitted:
+                return
 
     def _announce(self, src: int, dst: int):
         """One join announcement over the out-of-band channel."""
@@ -69,10 +68,7 @@ class ReferenceDetector(FailureDetector):
         if faults is not None and not faults.link_up(src, dst):
             return False
         nbytes = self.config.ping_bytes
-        try:
-            yield self.env.timeout(fabric.wire_time(src, dst, nbytes))
-        except Interrupt:
-            return False
+        yield self.env.timeout(fabric.wire_time(src, dst, nbytes))
         return self._node_alive(src) and fabric.verdict(src, dst, nbytes).ok
 
     def _receive_announce(self, dst: int, src: int) -> None:
@@ -87,26 +83,17 @@ class ReferenceDetector(FailureDetector):
         live = [r for r in self.ranks if r != src and r not in view.dead]
         coord = min(live) if live else dst
         if dst == coord:
-            self.env.process(
-                self._admit_ack(dst, src), name=f"hb-admit:{dst}->{src}"
-            )
+            self.env.process(self._admit_ack(dst, src))
 
     def _emitter(self, rank: int):
-        cfg = self.config
-        try:
-            while True:
-                yield self.env.timeout(cfg.period)
-                if not self._node_alive(rank):
-                    return  # a dead node stops heartbeating — that IS the signal
-                dead = tuple(sorted(self.views[rank].dead))
-                for peer in self.ranks:
-                    if peer != rank:
-                        self.env.process(
-                            self._ping(rank, peer, dead),
-                            name=f"hb:{rank}->{peer}",
-                        )
-        except Interrupt:
-            return
+        while True:
+            yield self.env.timeout(self.config.period)
+            if not self._node_alive(rank):
+                return  # a dead node stops heartbeating — that IS the signal
+            dead = tuple(sorted(self.views[rank].dead))
+            for peer in self.ranks:
+                if peer != rank:
+                    self.env.process(self._ping(rank, peer, dead))
 
     def _ping(self, src: int, dst: int, gossip_dead: Tuple[int, ...]):
         if (yield from self._oob_send(src, dst)):
@@ -114,34 +101,59 @@ class ReferenceDetector(FailureDetector):
 
     def _monitor(self, rank: int):
         cfg = self.config
-        try:
-            while True:
-                yield self.env.timeout(cfg.period)
-                if not self._node_alive(rank):
-                    return
-                view = self.views[rank]
-                now = self.env.now
-                # Peers come from the view each tick: membership is elastic,
-                # and an absorbed joiner must be monitored from then on.
-                for peer in list(view.last_heard):
-                    if peer in view.dead:
-                        continue
-                    if now - view.last_heard[peer] > self._grace(view, peer):
-                        view.suspicion[peer] += 1
-                        if peer not in view.suspected:
-                            view.suspected.add(peer)
-                            self._emit(
-                                "suspect", rank, peer,
-                                f"silent for {now - view.last_heard[peer]:.6f}s",
-                            )
-                        if view.suspicion[peer] >= cfg.threshold:
-                            self._declare(
-                                rank, peer,
-                                f"{view.suspicion[peer]} missed heartbeats",
-                            )
-                    elif view.suspicion[peer]:
-                        view.suspicion[peer] = 0
-                        view.suspected.discard(peer)
-                        self._emit("clear_suspect", rank, peer, "heartbeat resumed")
-        except Interrupt:
+        while True:
+            yield self.env.timeout(cfg.period)
+            if not self._node_alive(rank):
+                return
+            view = self.views[rank]
+            now = self.env.now
+            # Peers come from the view each tick: membership is elastic,
+            # and an absorbed joiner must be monitored from then on.
+            for peer in list(view.last_heard):
+                if peer in view.dead:
+                    continue
+                if now - view.last_heard[peer] > self._grace(view, peer):
+                    view.suspicion[peer] += 1
+                    if peer not in view.suspected:
+                        view.suspected.add(peer)
+                        self._emit(
+                            "suspect", rank, peer,
+                            f"silent for {now - view.last_heard[peer]:.6f}s",
+                        )
+                    if view.suspicion[peer] >= cfg.threshold:
+                        self._declare(
+                            rank, peer,
+                            f"{view.suspicion[peer]} missed heartbeats",
+                        )
+                elif view.suspicion[peer]:
+                    view.suspicion[peer] = 0
+                    view.suspected.discard(peer)
+                    self._emit("clear_suspect", rank, peer, "heartbeat resumed")
+
+    def _rtt_prober(self, rank: int):
+        cfg = self.config
+        offset = rank
+        while True:
+            yield self.env.timeout(cfg.rtt_probe_every * cfg.period)
+            if not self._node_alive(rank):
+                return
+            view = self.views[rank]
+            peers = [p for p in self.ranks if p != rank and p not in view.dead]
+            if not peers:
+                continue
+            peer = peers[offset % len(peers)]
+            offset += 1
+            self.env.process(self._rtt_probe(rank, peer))
+
+    def _rtt_probe(self, src: int, dst: int):
+        sent_at = self.env.now
+        arrived = yield from self._oob_send(src, dst)
+        if not arrived or not self._node_alive(dst):
             return
+        node = self.cluster.node(dst)
+        yield from node.cpu.use(node.busy_time(self.config.probe_cpu))
+        if not self._node_alive(dst):
+            return  # the target crashed mid-ack: no sample
+        service = node.cpu_time_of(self.config.probe_cpu)
+        if (yield from self._oob_send(dst, src)):
+            self._receive_probe_ack(src, dst, self.env.now - sent_at, service)

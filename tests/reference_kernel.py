@@ -6,10 +6,12 @@ machine over a step list built once per (function, thread).  This subclass
 is the design it replaced, unchanged: one generator :class:`Process` per
 (function, thread, iteration) whose body re-derives the node, the binding,
 the staged bytes and every message's destination on every iteration.  The
-only edits are the two call sites whose signatures moved: the process is a
-:class:`_ThreadProcess` (``done`` and ``cancel()``, the names recovery uses),
-and each :class:`Transfer` is handed its destination processor, entry and
-arrival slot.  ``tests/test_reference_kernel.py`` runs both kernels on drawn
+only edits are the call sites whose signatures moved: the process is a
+:class:`~tests.killable_process.KillableProcess` (``done`` and ``cancel()``,
+the names recovery uses), the dispatch overhead holds the CPU through
+``Resource.use`` (the engine's ``SimNode.busy`` is gone), and each
+:class:`Transfer` is handed its destination processor, entry and arrival
+slot.  ``tests/test_reference_kernel.py`` runs both kernels on drawn
 designs and fault schedules and checks that they produce the same trace,
 result, injector log and engine event count.
 """
@@ -22,29 +24,17 @@ from repro.core.runtime.kernel import RuntimeError_, SageRuntime
 from repro.core.runtime.kernels import KernelError
 from repro.core.runtime.transfer import Transfer
 from repro.machine.faults import TransientError
-from repro.machine.simulator import Interrupt, Process
+
+from .killable_process import KillableProcess
 
 __all__ = ["ReferenceRuntime"]
-
-
-class _ThreadProcess(Process):
-    """A thread's generator process, answering to the names recovery uses."""
-
-    __slots__ = ()
-
-    @property
-    def done(self) -> Process:
-        return self
-
-    def cancel(self) -> None:
-        self.interrupt("fault recovery")
 
 
 class ReferenceRuntime(SageRuntime):
     """:class:`SageRuntime` with one generator process per thread per
     iteration."""
 
-    def _spawn_iteration(self, k: int) -> List["_ThreadProcess"]:
+    def _spawn_iteration(self, k: int) -> List[KillableProcess]:
         """Create iteration ``k``'s bookkeeping events and thread processes."""
         sink_thread_count = sum(self.functions[f]["threads"] for f in self.sink_ids)
         self._iter_complete[k] = self.env.event()
@@ -58,22 +48,15 @@ class ReferenceRuntime(SageRuntime):
             entry = self.functions[fid]
             for t in range(entry["threads"]):
                 procs.append(
-                    _ThreadProcess(
+                    KillableProcess(
                         self.env,
-                        self._thread_proc(fid, t, k),
+                        self._thread_body(fid, t, k),
                         name=f"{entry['name']}[{t}]#{k}",
                     )
                 )
         return procs
 
     # -- per-thread process ---------------------------------------------------------
-    def _thread_proc(self, fid: int, thread: int, iteration: int):
-        try:
-            yield from self._thread_body(fid, thread, iteration)
-        except Interrupt:
-            # Fault recovery killed this attempt; _recover resets all state.
-            return
-
     def _thread_body(self, fid: int, thread: int, iteration: int):
         entry = self.functions[fid]
         node = self.cluster.node(self.processor_of(fid, thread))
@@ -110,7 +93,8 @@ class ReferenceRuntime(SageRuntime):
 
         # Function-table dispatch (the per-invocation run-time cost).
         if cfg.dispatch_overhead > 0:
-            yield from node.busy(cfg.dispatch_overhead)
+            yield from node.cpu.use(node.busy_time(cfg.dispatch_overhead))
+            node.check_alive()
         self._probe("enter", entry, thread, iteration, node.index)
 
         binding = self.bindings[entry["kernel"]]

@@ -25,13 +25,10 @@ class SteppedEnvironment(Environment):
 
     __slots__ = ()
 
-    def _pending(self) -> bool:
-        return bool(self._imm0 or self._imm1 or self._queue)
-
     def run(self, until=None):
         if isinstance(until, Event):
             while not until.processed:
-                if not self._pending():
+                if not self.pending():
                     raise SimulationError("simulation ran out of events before "
                                           "'until' fired")
                 self.step()
@@ -39,7 +36,7 @@ class SteppedEnvironment(Environment):
                 return until.value
             raise until.value
         if until is None:
-            while self._pending():
+            while self.pending():
                 self.step()
             return None
         horizon = float(until)
@@ -136,7 +133,7 @@ def test_step_processes_exactly_one_entry():
     env = Environment()
     _timeline(env, [])
     seen = []
-    while env._imm0 or env._imm1 or env._queue:
+    while env.pending():
         env.step()
         seen.append((env.now, env.events_processed))
     assert seen == [(1.0, 1), (2.0, 2), (2.0, 3), (2.0, 4), (2.0, 5),

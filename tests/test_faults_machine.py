@@ -103,7 +103,7 @@ class TestNodeFaults:
         def busy(env, cluster):
             # Start strictly after the hang has seized the CPU.
             yield env.timeout(1e-6)
-            yield from cluster.node(0).busy(1e-3)
+            yield from cluster.node(0).cpu.use(1e-3)
             done["t"] = env.now
 
         env, cluster = make_cluster()

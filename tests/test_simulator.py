@@ -4,7 +4,6 @@ import pytest
 
 from repro.machine.simulator import (
     Environment,
-    Interrupt,
     Resource,
     SimulationError,
     Store,
@@ -197,24 +196,6 @@ def test_run_until_event_deadlock_detected():
     p = env.process(waiter())
     with pytest.raises(SimulationError, match="deadlock"):
         env.run(until=p)
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-        except Interrupt as i:
-            return ("interrupted", env.now, i.cause)
-
-    def interrupter(target):
-        yield env.timeout(5)
-        target.interrupt("wake up")
-
-    p = env.process(sleeper())
-    env.process(interrupter(p))
-    assert env.run(until=p) == ("interrupted", 5.0, "wake up")
 
 
 def test_store_fifo_order():

@@ -1,136 +1,160 @@
-"""Interrupt-safety regressions for the simulation kernel.
+"""Kill-safety regressions for the simulation kernel.
 
-Two historical bugs, now load-bearing for fault recovery:
+Fault recovery kills in-flight work with ``CallbackProcess.cancel()``: a kick
+event at the current instant, at which the process withdraws its pending
+request, releases what it holds, and fires ``done`` with nothing.  The races
+that matter:
 
-* ``Process.interrupt()`` on a process whose resume was already queued (it
-  was waiting on an event processed earlier, whose scheduled callback cannot
-  be cancelled) must not leave a stale ``_resume`` on the event the process
-  re-suspends on — or the process is stepped a second time later.
-* A process interrupted while suspended on a ``Resource`` request must give
-  the slot back (granted) or withdraw the request (queued); otherwise the
-  resource leaks and every later requester deadlocks.
+* a cancel while the process's next step is already queued (the event it
+  waited on is being processed, and its callback list cannot be edited):
+  the step runs, the process moves on to a new event, and the kick must
+  detach from that one too, or the stale callback steps a dead process;
+* a cancel while queued on a ``Resource``, or while holding several, must
+  withdraw the request or give every slot back, or the resource leaks and
+  every later requester deadlocks;
+* a held chain is handed back innermost first, whether the hold elapsed or
+  was cancelled, so the waiter on the last resource is granted first.
+
+``TestResourceCancel`` kills generators that hold a ``Resource`` through
+``Resource.use`` (the test oracles' processes, see ``killable_process.py``).
 """
-
-import pytest
 
 from repro.machine.simulator import (
     AnyOf,
+    CallbackProcess,
     Environment,
-    Interrupt,
     Resource,
-    SimulationError,
 )
 
+from .killable_process import KillableProcess
 
-class TestInterruptRaces:
-    def test_interrupt_races_queued_resume(self):
-        """Interrupt a process whose resume is already in the event queue.
 
-        The victim yields an event processed in a *previous* instant, so its
-        resume is an un-cancellable scheduled callback.  The interrupt lands
-        after that resume has run and the victim re-suspended on a new event;
-        the interrupt must detach from the new target, or its stale callback
-        would step the victim a second time at t=10."""
+class Holder(CallbackProcess):
+    """Holds ``chain`` for ``duration``, then finishes with the time."""
+
+    __slots__ = ("chain", "duration")
+
+    def __init__(self, env, chain, duration):
+        super().__init__(env)
+        self.chain, self.duration = chain, duration
+
+    def _begin(self):
+        self._hold(self.chain, self.duration, lambda: self._finish(self.env.now))
+
+
+class Sleeper(CallbackProcess):
+    """Waits on ``gate``, then sleeps 10 s; logs each stage."""
+
+    __slots__ = ("gate", "log")
+
+    def __init__(self, env, gate, log):
+        super().__init__(env)
+        self.gate, self.log = gate, log
+
+    def _begin(self):
+        self.log.append("start")
+        self._wait(self.gate, self._resumed)
+
+    def _resumed(self):
+        self.log.append(("resumed", self.env.now))
+        self._hold((), 10, self._slept)
+
+    def _slept(self):
+        self.log.append("slept")
+        self._finish("slept")
+
+
+def _at(env, when, fn):
+    env.timeout(when).callbacks.append(lambda _ev: fn())
+
+
+class TestCallbackCancel:
+    def test_cancel_races_queued_step(self):
+        """The canceller runs in the same callback list as the victim's
+        step, ahead of it: ``cancel()`` cannot detach the step, the victim
+        moves on to a 10 s sleep, and the kick must detach from that."""
         env = Environment()
-        done = env.event()
-        done.succeed()
-        env.run(until=done)  # `done` is processed before the victim exists
-
-        order = []
-
-        def victim():
-            order.append("start")
-            yield done  # already processed: resume is queued, not attached
-            order.append("resumed")
-            try:
-                yield env.timeout(10)
-                order.append("slept-10")
-            except Interrupt as intr:
-                order.append(f"interrupted:{intr.cause}")
-                # Still suspended at t=10 when the abandoned timeout fires: a
-                # stale callback would resume this wait 5s early.
-                yield env.timeout(15)
-                order.append(("slept", env.now))
-
-        def attacker():
-            # Also resumed via a queued callback — scheduled *before* the
-            # victim's, so the interrupt is issued while the victim's resume
-            # is still sitting in the queue.
-            yield done
-            v.interrupt("race")
-
-        env.process(attacker())
-        v = env.process(victim())
+        gate = env.event()
+        gate.callbacks.append(lambda _ev: victim.cancel())
+        log = []
+        victim = Sleeper(env, gate, log)
+        _at(env, 1, gate.succeed)
         env.run()
-        assert order == ["start", "resumed", "interrupted:race", ("slept", 15.0)]
-        assert v.processed and v.ok
+        assert log == ["start", ("resumed", 1.0)]
+        assert victim.done.processed and victim.done.value is None
+        assert env.now == 11.0  # the abandoned sleep still fires, unheard
 
-    def test_interrupt_while_anyof_already_triggered(self):
-        """Interrupt delivered in the same instant an AnyOf child fires:
-        the Interrupt wins and the triggered AnyOf must not resume the
-        process a second time."""
+    def test_cancel_while_queued_withdraws_request(self):
         env = Environment()
-        ev = env.event()
-        got = []
-
-        def waiter():
-            try:
-                which, value = yield env.any_of([ev, env.timeout(5)])
-                got.append(("value", which, value))
-            except Interrupt as intr:
-                got.append(("interrupt", intr.cause))
-                yield env.timeout(1)
-                got.append(("done",))
-
-        p = env.process(waiter())
-
-        def driver():
-            yield env.timeout(1)
-            ev.succeed("data")        # the AnyOf will fire this instant...
-            p.interrupt("cancelled")  # ...but the interrupt detaches first
-
-        env.process(driver())
+        res = Resource(env, capacity=1)
+        holder = Holder(env, (res,), 10)
+        waiter = Holder(env, (res,), 1)
+        _at(env, 1, waiter.cancel)
+        env.run(until=2)
+        assert res.queue_length == 0 and res.count == 1
+        assert waiter.done.processed and waiter.done.value is None
         env.run()
-        assert got == [("interrupt", "cancelled"), ("done",)]
+        assert holder.done.value == 10.0
+        assert res.count == 0
 
-    def test_interrupt_finished_process_raises(self):
+    def test_cancel_while_holding_a_chain_releases_both(self):
         env = Environment()
-
-        def quick():
-            yield env.timeout(0)
-
-        p = env.process(quick())
+        a, b = Resource(env), Resource(env)
+        holder = Holder(env, (a, b), 100)
+        env.run(until=0.5)
+        later_a, later_b = Holder(env, (a,), 1), Holder(env, (b,), 1)
+        _at(env, 0.5, holder.cancel)
         env.run()
-        with pytest.raises(SimulationError, match="finished process"):
-            p.interrupt()
+        assert holder.done.value is None
+        assert (later_a.done.value, later_b.done.value) == (2.0, 2.0)
+        assert a.count == b.count == 0
 
-    def test_anyof_late_straggler_after_interrupt_is_harmless(self):
-        """After an interrupted wait, the AnyOf's remaining children firing
-        later must not touch the (re-suspended or finished) process."""
+    def test_cancel_before_begin_still_starts_then_dies(self):
+        """Cancelled before its start event ran: it starts (its request is
+        made) and dies at the kick, which withdraws the request."""
         env = Environment()
-        slow = env.event()
-        got = []
-
-        def waiter():
-            try:
-                yield env.any_of([slow, env.timeout(100)])
-                got.append("value")
-            except Interrupt:
-                got.append("interrupt")
-            yield env.timeout(1)
-            got.append("after")
-
-        p = env.process(waiter())
-
-        def driver():
-            yield env.timeout(2)
-            p.interrupt()
-            yield env.timeout(5)
-            slow.succeed()  # straggler: waiter is elsewhere by now
-
-        env.process(driver())
+        res = Resource(env, capacity=1)
+        proc = Holder(env, (res,), 5)
+        proc.cancel()
         env.run()
-        assert got == ["interrupt", "after"]
+        assert proc.done.value is None and env.now == 0.0
+        assert res.count == 0 and res.queue_length == 0
+
+    def test_cancel_after_finish_is_a_noop(self):
+        env = Environment()
+        res = Resource(env, capacity=1)
+        proc = Holder(env, (res,), 5)
+        env.run()
+        events = env.events_processed
+        proc.cancel()
+        env.run()
+        assert proc.done.value == 5.0
+        assert env.events_processed == events + 1  # the kick, nothing else
+        assert res.count == 0
+
+
+class TestReleaseOrder:
+    """A chain is released innermost first: the waiter on ``chain[-1]`` is
+    granted before the waiter on ``chain[0]``."""
+
+    def _grants(self, end_hold):
+        env = Environment()
+        a, b = Resource(env), Resource(env)
+        holder = Holder(env, (a, b), 1)
+        env.run(until=0.5)
+        granted = []
+        for name, res in (("a", a), ("b", b)):
+            res.request().callbacks.append(lambda _ev, n=name: granted.append(n))
+        end_hold(env, holder)
+        env.run()
+        return granted
+
+    def test_elapsed_hold_releases_innermost_first(self):
+        assert self._grants(lambda env, holder: None) == ["b", "a"]
+
+    def test_cancelled_hold_releases_innermost_first(self):
+        assert self._grants(
+            lambda env, holder: _at(env, 0.25, holder.cancel)) == ["b", "a"]
 
 
 class TestResourceCancel:
@@ -142,19 +166,11 @@ class TestResourceCancel:
             yield from res.use(10)
 
         def waiter():
-            try:
-                yield from res.use(1)
-            except Interrupt:
-                pass
+            yield from res.use(1)
 
         env.process(holder())
-        w = env.process(waiter())
-
-        def driver():
-            yield env.timeout(1)
-            w.interrupt()
-
-        env.process(driver())
+        w = KillableProcess(env, waiter())
+        _at(env, 1, w.cancel)
         env.run()
         assert res.count == 0
         assert res.queue_length == 0
@@ -165,31 +181,23 @@ class TestResourceCancel:
         acquired = []
 
         def holder():
-            try:
-                yield from res.use(100)
-            except Interrupt:
-                pass
+            yield from res.use(100)
 
         def successor():
             yield env.timeout(2)
             yield from res.use(1)
             acquired.append(env.now)
 
-        h = env.process(holder())
+        h = KillableProcess(env, holder())
         env.process(successor())
-
-        def driver():
-            yield env.timeout(1)
-            h.interrupt()
-
-        env.process(driver())
+        _at(env, 1, h.cancel)
         env.run()
         # The successor got the slot right away at t=2 and held it 1s.
         assert acquired == [3]
         assert res.count == 0
 
     def test_cancel_granted_but_unconsumed_request(self):
-        """A request granted at the same instant the requester is interrupted
+        """A request granted at the same instant the requester is killed
         must be released, not leaked."""
         env = Environment()
         res = Resource(env, capacity=1)
@@ -198,17 +206,11 @@ class TestResourceCancel:
             req = res.request()  # capacity free: granted immediately
             try:
                 yield req
-            except Interrupt:
+            except GeneratorExit:
                 res.cancel(req)
+                raise
 
-        v = env.process(victim())
-
-        def driver():
-            v.interrupt()
-            return
-            yield  # pragma: no cover
-
-        env.process(driver())
+        KillableProcess(env, victim()).cancel()
         env.run()
         assert res.count == 0
 
