@@ -1,31 +1,29 @@
 """Reconfiguration-safety model checking (Verifier v2, ``RECON0xx``).
 
-PRs 6–8 made mappings *dynamic* — shrink after a permanent node loss, grow
-back onto replacement capacity, migrate off a straggler — but the Verifier
-only understood a single static mapping.  This pass symbolically checks a
-mapping **transition**: the pair of placements around a reconfiguration
-plus the bookkeeping the run-time derives from it (the moved-thread set
-driving the O(delta) traffic-table update, and the checkpoint-region
-transfer list).  Everything is proved on the striping algebra — element
-masks, message plans, delta composition — without executing an iteration.
+The run-time re-places threads while it runs — shrink after a permanent
+node loss, grow back onto replacement capacity, drain a straggler and
+restore it — but the Verifier only understood a single static mapping.
+This pass symbolically checks a mapping **transition**: the pair of
+placements around a reconfiguration plus the checkpoint-region transfer
+list the run-time derives from it.  Everything is proved on the striping
+algebra without executing an iteration.
 
 A transition is either produced by the planners here
-(:func:`plan_shrink_transition` / :func:`plan_grow_transition`, which
-mirror the run-time's ``_shrink_restripe`` / ``_grow_migrate`` exactly,
-ring mirrors included) or hand-built/tampered — the seeded-defect corpus
-does the latter to prove each rule fires.
+(:func:`plan_shrink_transition` / :func:`plan_grow_transition` /
+:func:`plan_migration_transition`), recorded from a run-time
+re-placement, or hand-built/tampered — the seeded-defect corpus does the
+latter to prove each rule fires.  The planners and the run-time share one
+rule for what ships and from where
+(:func:`~repro.core.runtime.buffers.ring_mirrors` and
+:func:`~repro.core.runtime.buffers.moved_region_transfers`).  The staging
+tables need no check: the run-time re-derives them from the new placement
+the way it derives them at construction.
 
 Rules (:func:`check_transition`):
 
 * **RECON001** — stranded thread: the post-transition placement maps a
   thread onto a processor outside the active set (its elements would never
   be computed),
-* **RECON002** — orphaned send: the delta-composed staging-traffic tables
-  (driven by the transition's moved set) *undercount* the true remote
-  traffic of the new placement, so a cross-processor message would never
-  be staged,
-* **RECON003** — duplicated send: the delta-composed tables *overcount*
-  (a message would be staged twice, corrupting arrival accounting),
 * **RECON004** — incomplete checkpoint migration: a region whose owner
   moved has no transfer shipping its bytes to the new owner,
 * **RECON005** — redundant migration: a planned transfer moves state no
@@ -36,13 +34,13 @@ Rules (:func:`check_transition`):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.model.application import ApplicationModel
 from ..core.model.mapping import Mapping, grow_mapping, shrink_mapping
-from ..core.runtime.buffers import buffer_views, moved_region_transfers
-from ..core.runtime.striping import plan_remote_traffic, plan_remote_traffic_delta
+from ..core.runtime.buffers import buffer_views, moved_region_transfers, ring_mirrors
 from .comm import check_comm_schedule, derive_comm_schedule
 from .report import Finding
 
@@ -62,11 +60,11 @@ Transfer = Tuple[int, int, int, str]
 class MappingTransition:
     """One reconfiguration step: two placements plus the derived bookkeeping.
 
-    ``moved`` is the set of ``(function_id, thread)`` keys the run-time
-    feeds to :func:`~repro.core.runtime.striping.plan_remote_traffic_delta`;
-    ``transfers`` is the checkpoint-region shipping list it executes.  Both
-    are *claims* the checker verifies against ground truth re-derived from
-    the striping algebra.
+    ``transfers`` is the checkpoint-region shipping list the run-time
+    executes: a *claim* the checker verifies against ground truth
+    re-derived from the striping algebra.  ``moved`` only describes the
+    transition (its size is printed by :meth:`describe`); it drives
+    nothing.
     """
 
     kind: str  # "shrink" | "grow" | "migrate"
@@ -74,7 +72,7 @@ class MappingTransition:
     after: Mapping
     #: Processors that are alive after the transition.
     active: Set[int]
-    #: (fid, thread) keys whose processor the transition claims changed.
+    #: (fid, thread) keys whose processor the transition changes.
     moved: Set[Tuple[int, int]] = field(default_factory=set)
     #: Claimed checkpoint-region transfers (old, new, nbytes, label).
     transfers: List[Transfer] = field(default_factory=list)
@@ -96,47 +94,25 @@ def _mapping_items(app: ApplicationModel, mapping: Mapping):
             yield inst.function_id, t, mapping.processor_of(inst.function_id, t)
 
 
-def _moved_keys(app: ApplicationModel, before: Mapping, after: Mapping):
-    return {
-        (fid, t)
-        for fid, t, proc in _mapping_items(app, before)
-        if after.processor_of(fid, t) != proc
-    }
-
-
-def _mirror_table(pre_active: Iterable[int], survivors: Set[int]) -> Dict[int, int]:
-    """The run-time's checkpoint ring: each dead processor's mirror is the
-    next survivor after it in the pre-transition active ring."""
-    ring = sorted(pre_active)
-    table: Dict[int, int] = {}
-    for proc in ring:
-        if proc in survivors:
-            table[proc] = proc
-            continue
-        i = ring.index(proc)
-        for step in range(1, len(ring)):
-            cand = ring[(i + step) % len(ring)]
-            if cand in survivors:
-                table[proc] = cand
-                break
-    return table
-
-
-def _shipments(app, before: Mapping, after: Mapping,
-               mirrors: Dict[int, int]) -> List[Transfer]:
-    """Ground-truth checkpoint shipments of a re-placement: the run-time's
-    ``moved_region_transfers`` of every buffer, each read from its old
-    owner's ring mirror when ``mirrors`` names one, minus the moves where
-    nothing travels."""
-    shipments: List[Transfer] = []
-    for buf in buffer_views(app):
-        for old, new, nbytes, label in moved_region_transfers(
-            buf, before.processor_of, after.processor_of
-        ):
-            old = mirrors.get(old, old)
-            if old != new and nbytes > 0:
-                shipments.append((old, new, nbytes, label))
-    return shipments
+def _transition(app: ApplicationModel, kind: str, before: Mapping,
+                after: Mapping, active: Set[int],
+                mirrors: Optional[Dict[int, int]] = None) -> MappingTransition:
+    """The transition from ``before`` to ``after`` as the run-time executes
+    it: every moved region shipped from its old owner, or from that owner's
+    entry in ``mirrors``, wherever something travels."""
+    mirrors = mirrors or {}
+    transfers = moved_region_transfers(
+        buffer_views(app), before.processor_of, after.processor_of, mirrors)
+    return MappingTransition(
+        kind=kind,
+        before=before,
+        after=after,
+        active=active,
+        moved={(fid, t) for fid, t, proc in _mapping_items(app, before)
+               if after.processor_of(fid, t) != proc},
+        transfers=[m for m in transfers if m[0] != m[1] and m[2] > 0],
+        mirrors=mirrors,
+    )
 
 
 def plan_shrink_transition(
@@ -146,7 +122,7 @@ def plan_shrink_transition(
     balanced: bool = False,
     active: Optional[Iterable[int]] = None,
 ) -> MappingTransition:
-    """Plan the transition ``_shrink_restripe`` would execute for a node
+    """Plan the transition the run-time's shrink would execute for a node
     loss: orphans dealt onto the survivors, checkpoints shipped from the
     dead owners' ring mirrors."""
     survivor_set = set(survivors)
@@ -154,16 +130,8 @@ def plan_shrink_transition(
         set(mapping.processors_used()) | survivor_set
     )
     after = shrink_mapping(mapping, sorted(survivor_set), balanced=balanced)
-    mirrors = _mirror_table(pre_active, survivor_set)
-    return MappingTransition(
-        kind="shrink",
-        before=mapping,
-        after=after,
-        active=survivor_set,
-        moved=_moved_keys(app, mapping, after),
-        transfers=_shipments(app, mapping, after, mirrors),
-        mirrors=mirrors,
-    )
+    return _transition(app, "shrink", mapping, after, survivor_set,
+                       ring_mirrors(pre_active, survivor_set))
 
 
 def plan_grow_transition(
@@ -172,20 +140,13 @@ def plan_grow_transition(
     original: Mapping,
     replacements: Dict[int, int],
 ) -> MappingTransition:
-    """Plan the transition ``_grow_migrate`` would execute when replacement
+    """Plan the transition the run-time's grow would execute when replacement
     capacity arrives: threads return to their original placement (lost
     processors substituted) and state ships from the *live* current
     owners — no mirrors involved."""
     after = grow_mapping(current, original, replacements)
     active = set(current.processors_used()) | set(after.processors_used())
-    return MappingTransition(
-        kind="grow",
-        before=current,
-        after=after,
-        active=active,
-        moved=_moved_keys(app, current, after),
-        transfers=_shipments(app, current, after, {}),
-    )
+    return _transition(app, "grow", current, after, active)
 
 
 def plan_migration_transition(
@@ -200,14 +161,7 @@ def plan_migration_transition(
     for (fid, t), proc in sorted(moves.items()):
         after.assign(fid, t, proc)
     active = set(mapping.processors_used()) | set(after.processors_used())
-    return MappingTransition(
-        kind="migrate",
-        before=mapping,
-        after=after,
-        active=active,
-        moved=_moved_keys(app, mapping, after),
-        transfers=_shipments(app, mapping, after, {}),
-    )
+    return _transition(app, "migrate", mapping, after, active)
 
 
 def check_transition(
@@ -233,60 +187,11 @@ def check_transition(
                 src,
             ))
 
-    # RECON002/003 — the delta-composed staging-traffic tables (driven by
-    # the transition's claimed moved set) must equal a full recompute at
-    # the new placement.  A deficit is an orphaned send (never staged); a
-    # surplus is a duplicated one.
-    moved = transition.moved
-    for view in buffer_views(app):
-        sf, df = view.src_function, view.dst_function
-        old_src = lambda t, f=sf: before.processor_of(f, t)  # noqa: E731
-        old_dst = lambda t, f=df: before.processor_of(f, t)  # noqa: E731
-        new_src = lambda t, f=sf: after.processor_of(f, t)  # noqa: E731
-        new_dst = lambda t, f=df: after.processor_of(f, t)  # noqa: E731
-        send0, recv0 = plan_remote_traffic(view.plan, old_src, old_dst)
-        moved_src = {t for f, t in moved if f == sf}
-        moved_dst = {t for f, t in moved if f == df}
-        d_send, d_recv = plan_remote_traffic_delta(
-            view.plan, send0, recv0,
-            old_src, old_dst, new_src, new_dst,
-            moved_src, moved_dst,
-        )
-        f_send, f_recv = plan_remote_traffic(view.plan, new_src, new_dst)
-        for side, got, want in (("send", d_send, f_send),
-                                ("recv", d_recv, f_recv)):
-            for t in sorted(set(got) | set(want)):
-                have, need = got.get(t, 0), want.get(t, 0)
-                if have < need:
-                    findings.append(Finding(
-                        "error", "RECON002", f"{view.name}.{side}[{t}]",
-                        f"orphaned send: the delta-composed traffic table "
-                        f"stages {have} bytes for {side} thread {t} but the "
-                        f"new placement requires {need} — a cross-processor "
-                        f"message would never be staged",
-                        "include every re-placed thread in the transition's "
-                        "moved set",
-                        src,
-                    ))
-                elif have > need:
-                    findings.append(Finding(
-                        "error", "RECON003", f"{view.name}.{side}[{t}]",
-                        f"duplicated send: the delta-composed traffic table "
-                        f"stages {have} bytes for {side} thread {t} but the "
-                        f"new placement requires only {need} — a message "
-                        f"would be staged twice across the boundary",
-                        "recompute the moved set from the placement diff",
-                        src,
-                    ))
-
     # RECON004/005 — the claimed checkpoint transfers vs ground truth.
-    required: Dict[Tuple[int, int, int, str], int] = {}
-    for key in _shipments(app, before, after, transition.mirrors):
-        required[key] = required.get(key, 0) + 1
-    claimed: Dict[Tuple[int, int, int, str], int] = {}
-    for old, new, nbytes, label in transition.transfers:
-        key = (old, new, nbytes, label)
-        claimed[key] = claimed.get(key, 0) + 1
+    required = Counter(_transition(
+        app, transition.kind, before, after, transition.active,
+        transition.mirrors).transfers)
+    claimed = Counter(tuple(move) for move in transition.transfers)
     for key in sorted(set(required) | set(claimed), key=lambda k: (k[3], k)):
         old, new, nbytes, label = key
         have, need = claimed.get(key, 0), required.get(key, 0)

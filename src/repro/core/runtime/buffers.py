@@ -18,11 +18,14 @@ in phantom buffers, and :func:`remote_traffic_tables` /
 :func:`endpoint_footprint` turn a placement into staging traffic and DRAM
 bytes.  The static predictor, the Verifier's COMM/RECON passes, admission's
 footprint check and AToT read these rather than re-deriving the plans.
+:func:`ring_mirrors` and :func:`moved_region_transfers` are the one rule
+for what a re-placement ships and from where, which the run-time executes
+and RECON checks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -55,28 +58,52 @@ class BufferError(RuntimeError):
     """Raised for misuse of the buffer manager."""
 
 
-def moved_region_transfers(buf: "RuntimeBuffer", old_proc_of, new_proc_of):
-    """Region moves implied by a re-placement of ``buf``'s endpoint threads.
+def ring_mirrors(ring: Iterable[int], survivors: Set[int]) -> Dict[int, int]:
+    """Where a lost processor's checkpoint copy is read after a shrink.
+
+    Checkpoints are ring-mirrored: the copy of a processor's regions lives
+    on the next processor after it, in ``ring`` order (the active set before
+    the transition), that is in ``survivors``.  Returns ``{lost: mirror}``
+    for every processor of ``ring`` outside ``survivors``.
+    """
+    ring = sorted(ring)
+    mirrors: Dict[int, int] = {}
+    for i, proc in enumerate(ring):
+        if proc in survivors:
+            continue
+        for step in range(1, len(ring)):
+            cand = ring[(i + step) % len(ring)]
+            if cand in survivors:
+                mirrors[proc] = cand
+                break
+    return mirrors
+
+
+def moved_region_transfers(buffers, old_proc_of, new_proc_of,
+                           mirrors: Optional[Dict[int, int]] = None):
+    """Region moves implied by a re-placement of the buffers' endpoint threads.
 
     ``old_proc_of(function_id, thread)`` / ``new_proc_of(function_id,
-    thread)`` give the placements before and after.  Returns
-    ``(old_proc, new_proc, nbytes, label)`` tuples, one per endpoint region
-    whose owning thread changed processor — the checkpointed state that must
-    travel when the mapping changes.  Shrinking recovery reads the bytes
-    from each old owner's ring mirror (the owner is dead); live migration
-    reads them from the old owner directly (the owner is a live survivor).
+    thread)`` give the placements before and after.  Returns ``(src,
+    new_proc, nbytes, label)`` tuples, one per endpoint region whose owning
+    thread changed processor — the checkpointed state that must travel when
+    the mapping changes.  ``src`` is the old owner, or its entry in
+    ``mirrors`` (:func:`ring_mirrors`) when the owner is lost; a live owner
+    ships its own state.  Moves with ``src == new_proc`` or no bytes are
+    kept: nothing travels for them, and callers filter them out.
     """
+    mirrors = mirrors or {}
     out: List[Tuple[int, int, int, str]] = []
-    for t in range(buf.src_threads):
-        old = old_proc_of(buf.src_function, t)
-        new = new_proc_of(buf.src_function, t)
-        if old != new:
-            out.append((old, new, buf.src_region_bytes(t), f"{buf.name}.src[{t}]"))
-    for t in range(buf.dst_threads):
-        old = old_proc_of(buf.dst_function, t)
-        new = new_proc_of(buf.dst_function, t)
-        if old != new:
-            out.append((old, new, buf.dst_region_bytes(t), f"{buf.name}.dst[{t}]"))
+    for buf in buffers:
+        for side, fid, threads, nbytes in (
+            ("src", buf.src_function, buf.src_threads, buf.src_region_bytes),
+            ("dst", buf.dst_function, buf.dst_threads, buf.dst_region_bytes),
+        ):
+            for t in range(threads):
+                old, new = old_proc_of(fid, t), new_proc_of(fid, t)
+                if old != new:
+                    out.append((mirrors.get(old, old), new, nbytes(t),
+                                f"{buf.name}.{side}[{t}]"))
     return out
 
 

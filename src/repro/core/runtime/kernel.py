@@ -34,12 +34,12 @@ from .buffers import (
     endpoint_footprint,
     moved_region_transfers,
     remote_traffic_tables,
+    ring_mirrors,
 )
 from .config import DEFAULT_CONFIG, RuntimeConfig
 from .kernels import KernelBinding, ThreadContext, default_bindings
 from .policy import FAIL_FAST, FaultPolicy, TransportError
 from .probes import ProbeEvent, Trace
-from .striping import plan_remote_traffic_delta
 from .threads import RuntimeError_, ThreadPlan, ThreadRun
 from .transfer import Shipment, Transfer
 
@@ -224,8 +224,8 @@ class SageRuntime:
             self._check_memory_footprint()
 
         # Per-(buffer, thread) remote traffic (bytes crossing processors),
-        # used by the "remote" staging policies.  Patched in place by
-        # _update_remote_tables after a shrink, grow or migration.
+        # used by the "remote" staging policies.  Re-derived the same way
+        # by _replace after a shrink, grow, drain or restore.
         self._buf_send_remote, self._buf_recv_remote = remote_traffic_tables(
             self.buffers, self.processor_of
         )
@@ -569,11 +569,12 @@ class SageRuntime:
 
         Waits for the failure detector to actually *declare* each lost node
         (recovery reacts to detection, not to the injector's ground truth,
-        so detection latency lands on the timeline), remaps the dead nodes'
-        threads via :func:`~repro.core.model.mapping.shrink_mapping`,
-        recomputes the staging-traffic tables for the new placement, and
-        charges the fabric transfers that redistribute the latest buffer
-        checkpoints from their ring mirrors to the new owners.
+        so detection latency lands on the timeline), then deals the dead
+        nodes' threads onto the survivors
+        (:func:`~repro.core.model.mapping.shrink_mapping`) through
+        :meth:`_replace`.  A dead owner's checkpoint is read from its ring
+        mirror (:func:`~repro.core.runtime.buffers.ring_mirrors`), so the
+        refill is a fabric transfer whose cost lands in the makespan.
         """
         if self.detector is None:
             raise RuntimeError_(
@@ -597,50 +598,21 @@ class SageRuntime:
         # Orphaned threads should land on *healthy* survivors: a drained
         # straggler keeps its rank but must not absorb a dead node's work.
         # (If every survivor is drained, fall back to the full set.)
-        preferred = [p for p in survivors if p not in self._drained]
-        targets = preferred or survivors
-        survivor_set = set(survivors)
-        ring = sorted(self._active_processors)
+        targets = [p for p in survivors if p not in self._drained] or survivors
+        mirrors = ring_mirrors(self._active_processors, set(survivors))
         for node in dead:
             self._drained.discard(node)
             self._drain_probation.pop(node, None)
             self._drain_relapse.pop(node, None)
             self._straggler_strikes.pop(node, None)
-
-        old_proc, current, _ = self._placement()
-        new_map = shrink_mapping(current, targets)
-        moved_keys = self._install_placement(new_map, old_proc)
-        self._active_processors = survivor_set
+        self._active_processors = set(survivors)
         self._lost_processors = sorted(set(self._lost_processors) | set(dead))
-        self._probe_runtime(
-            "shrink",
-            detail=(
+        _, regions, total, _ = self._replace(
+            k, lambda current, _: shrink_mapping(current, targets),
+            announce=lambda moved: self._probe_runtime("shrink", detail=(
                 f"dropped node(s) {sorted(dead)}; {len(survivors)} "
-                f"survivor(s), {len(moved_keys)} thread(s) remapped"
-            ),
-            iteration=k,
-        )
-        self._update_remote_tables(old_proc, new_map, moved_keys)
-        if self.config.enforce_memory:
-            self._check_memory_footprint()
-
-        # Each region whose owning thread moved must be refilled from the
-        # checkpoint copy.  Checkpoints are ring-mirrored: the next live
-        # processor after the old owner (in pre-shrink processor order)
-        # holds the copy, so the refill is a real fabric transfer whose cost
-        # lands in the makespan.
-        def mirror_of(proc: int) -> int:
-            if proc in survivor_set:
-                return proc
-            i = ring.index(proc)
-            for step in range(1, len(ring)):
-                cand = ring[(i + step) % len(ring)]
-                if cand in survivor_set:
-                    return cand
-            raise RuntimeError_("no surviving mirror")  # pragma: no cover
-
-        regions, total = self._ship_moved_regions(
-            old_proc, new_map, k, holder=mirror_of
+                f"survivor(s), {moved} thread(s) remapped"), iteration=k),
+            mirrors=mirrors,
         )
         self._probe_runtime(
             "restripe",
@@ -651,6 +623,61 @@ class SageRuntime:
             iteration=k,
             nbytes=total,
         )
+
+    # -- re-placement ------------------------------------------------------------
+    def _replace(
+        self,
+        k: int,
+        remap: Callable[[Mapping, Mapping], Mapping],
+        announce: Callable[[int], None] = lambda moved: None,
+        mirrors: Optional[Dict[int, int]] = None,
+        since: Optional[float] = None,
+    ) -> Tuple[int, int, int, float]:
+        """Move the threads to ``remap(current, original)`` at iteration
+        ``k``'s boundary: the one re-placement step of shrink, grow, drain
+        and restore.
+
+        Installs the new placement (``processor_of`` answers from it, with
+        overrides only where it departs from the glue, and the thread plans
+        are dropped), calls ``announce(threads moved)``, derives the staging
+        tables from it the way construction does, re-checks
+        ``enforce_memory``, and ships every moved region (see
+        :func:`~repro.core.runtime.buffers.moved_region_transfers`; a lost
+        owner's state comes from its entry in ``mirrors``) as one
+        :class:`Shipment`, so the cost lands in the makespan.  Returns
+        ``(threads moved, regions moved, bytes, pause)``, the pause measured
+        from ``since`` (default: now).
+        """
+        since = self.env.now if since is None else since
+        old_proc, current, original = self._placement()
+        new_map = remap(current, original)
+        self._plans = None
+        moved = 0
+        for key, p in new_map.items():
+            moved += p != old_proc[key]
+            if p == self.glue.processor_of(*key):
+                self._proc_override.pop(key, None)
+            else:
+                self._proc_override[key] = p
+        announce(moved)
+        self._buf_send_remote, self._buf_recv_remote = remote_traffic_tables(
+            self.buffers, self.processor_of
+        )
+        if self.config.enforce_memory:
+            self._check_memory_footprint()
+        transfers = moved_region_transfers(
+            self.buffers, lambda f, t: old_proc[(f, t)], new_map.processor_of,
+            mirrors,
+        )
+        shipments = [
+            Shipment(self, src, dst, nbytes, k, label)
+            for src, dst, nbytes, label in transfers
+            if src != dst and nbytes > 0
+        ]
+        if shipments:
+            self.env.run(until=self.env.all_of(s.done for s in shipments))
+        return (moved, len(transfers), sum(t[2] for t in transfers),
+                self.env.now - since)
 
     def _placement(self) -> Tuple[Dict[Tuple[int, int], int], Mapping, Mapping]:
         """Where every thread runs now, as a lookup table and as a Mapping,
@@ -664,49 +691,6 @@ class SageRuntime:
                 current.assign(fid, t, p)
                 original.assign(fid, t, self.glue.processor_of(fid, t))
         return now, current, original
-
-    def _install_placement(
-        self, new_map: Mapping, old_proc: Dict[Tuple[int, int], int]
-    ) -> List[Tuple[int, int]]:
-        """Make ``processor_of`` answer from ``new_map`` (overrides only where
-        it departs from the glue), dropping the thread plans; returns the
-        threads that moved."""
-        self._plans = None
-        moved_keys: List[Tuple[int, int]] = []
-        for key, p in new_map.items():
-            if p != old_proc[key]:
-                moved_keys.append(key)
-            if p == self.glue.processor_of(*key):
-                self._proc_override.pop(key, None)
-            else:
-                self._proc_override[key] = p
-        return moved_keys
-
-    def _ship_moved_regions(
-        self,
-        old_proc: Dict[Tuple[int, int], int],
-        new_map: Mapping,
-        k: int,
-        holder: Callable[[int], int] = lambda proc: proc,
-    ) -> Tuple[int, int]:
-        """Ship the checkpointed region of every thread that moved, from
-        ``holder(old owner)`` to the new owner, one :class:`Shipment` each,
-        so the cost lands in the makespan.  Returns ``(regions, bytes)``."""
-        transfers = [
-            (holder(old), new, nbytes, label)
-            for buf in self.buffers
-            for old, new, nbytes, label in moved_region_transfers(
-                buf, lambda f, t: old_proc[(f, t)], new_map.processor_of
-            )
-        ]
-        shipments = [
-            Shipment(self, src, dst, nbytes, k, label)
-            for src, dst, nbytes, label in transfers
-            if src != dst and nbytes > 0
-        ]
-        if shipments:
-            self.env.run(until=self.env.all_of(s.done for s in shipments))
-        return len(transfers), sum(nbytes for _, _, nbytes, _ in transfers)
 
     def _jittered(self, delay: float) -> float:
         """Scale a backoff sleep by the policy's seeded jitter.
@@ -769,11 +753,10 @@ class SageRuntime:
 
         Restores the original placement for every processor a joiner
         replaces (same-id joiners restore their own slot; fresh ids stand in
-        for lost processors in sorted order), updates the staging tables
-        *incrementally* — only moved threads are re-planned — and ships the
-        moved regions' checkpointed state from their live current owners
-        over the fabric.  The wall-clock cost of the whole boundary stall is
-        recorded as ``runtime.migration_pause_s``.
+        for lost processors in sorted order) through :meth:`_replace`, which
+        ships the moved regions' checkpointed state from their live current
+        owners over the fabric.  The virtual-time cost of the whole boundary
+        stall is recorded as ``runtime.migration_pause_s``.
         """
         lost = sorted(self._lost_processors)
         replacements: Dict[int, int] = {}
@@ -789,29 +772,20 @@ class SageRuntime:
         if not replacements:
             return
 
-        old_proc, current, original = self._placement()
-        new_map = grow_mapping(current, original, replacements)
-        moved_keys = self._install_placement(new_map, old_proc)
         self._active_processors |= set(replacements.values())
         self._lost_processors = [p for p in lost if p not in replacements]
-        self._probe_runtime(
-            "grow",
-            detail=(
-                f"absorbed node(s) {sorted(set(replacements.values()))}; "
-                f"{len(self._active_processors)} active processor(s), "
-                f"{len(moved_keys)} thread(s) restored"
-            ),
-            iteration=k,
-        )
-        self._update_remote_tables(old_proc, new_map, moved_keys)
-        if self.config.enforce_memory:
-            self._check_memory_footprint()
-
         # Moved regions travel from their live current owner (a survivor) to
         # the restored owner — unlike shrinking recovery, no ring mirror is
         # needed because the old owner is alive.
-        regions, total = self._ship_moved_regions(old_proc, new_map, k)
-        pause = self.env.now - quiesce_at
+        _, regions, total, pause = self._replace(
+            k, lambda current, original: grow_mapping(
+                current, original, replacements),
+            announce=lambda moved: self._probe_runtime("grow", detail=(
+                f"absorbed node(s) {sorted(set(replacements.values()))}; "
+                f"{len(self._active_processors)} active processor(s), "
+                f"{moved} thread(s) restored"), iteration=k),
+            since=quiesce_at,
+        )
         REGISTRY.record("runtime.migration_pause_s", pause)
         self._probe_runtime(
             "migrate",
@@ -822,56 +796,6 @@ class SageRuntime:
             iteration=k,
             nbytes=total,
         )
-
-    def _update_remote_tables(
-        self,
-        old_proc: Dict[Tuple[int, int], int],
-        new_map: Mapping,
-        moved_keys: List[Tuple[int, int]],
-    ) -> None:
-        """Incrementally patch the staging tables after a re-placement.
-
-        Only buffers with at least one moved endpoint thread are touched,
-        and within each, :func:`plan_remote_traffic_delta` revisits only the
-        messages a moved thread sends or receives.  The result is
-        byte-identical to :func:`~repro.core.runtime.buffers.remote_traffic_tables`
-        at the new placement — the golden-trace and bitwise tests lean on that.
-        """
-        moved = set(moved_keys)
-        for buf in self.buffers:
-            moved_src = {t for f, t in moved if f == buf.src_function}
-            moved_dst = {t for f, t in moved if f == buf.dst_function}
-            if not moved_src and not moved_dst:
-                continue
-            bid = buf.buffer_id
-            send = {
-                t: self._buf_send_remote[(bid, t)]
-                for t in range(buf.src_threads)
-                if (bid, t) in self._buf_send_remote
-            }
-            recv = {
-                t: self._buf_recv_remote[(bid, t)]
-                for t in range(buf.dst_threads)
-                if (bid, t) in self._buf_recv_remote
-            }
-            send, recv = plan_remote_traffic_delta(
-                buf.plan, send, recv,
-                lambda t, f=buf.src_function: old_proc[(f, t)],
-                lambda t, f=buf.dst_function: old_proc[(f, t)],
-                lambda t, f=buf.src_function: new_map.processor_of(f, t),
-                lambda t, f=buf.dst_function: new_map.processor_of(f, t),
-                moved_src, moved_dst,
-            )
-            for t in range(buf.src_threads):
-                if t in send:
-                    self._buf_send_remote[(bid, t)] = send[t]
-                else:
-                    self._buf_send_remote.pop((bid, t), None)
-            for t in range(buf.dst_threads):
-                if t in recv:
-                    self._buf_recv_remote[(bid, t)] = recv[t]
-                else:
-                    self._buf_recv_remote.pop((bid, t), None)
 
     # -- gray failures (migrate_stragglers) ---------------------------------------
     def _maybe_migrate_stragglers(self, k: int) -> None:
@@ -933,10 +857,6 @@ class SageRuntime:
         the node itself (the live owner; no ring mirror), and it holds
         zero threads afterwards until probation restores it.
         """
-        quiesce_at = self.env.now
-        old_proc, current, _ = self._placement()
-        new_map = shrink_mapping(current, healthy, balanced=True)
-        moved_keys = self._install_placement(new_map, old_proc)
         for p in stragglers:
             self._drained.add(p)
             self._drain_probation[p] = 0
@@ -945,17 +865,13 @@ class SageRuntime:
             # cannot oscillate drain/restore indefinitely.
             self._drain_relapse[p] = self._drain_relapse.get(p, -1) + 1
             self._straggler_strikes.pop(p, None)
-        self._update_remote_tables(old_proc, new_map, moved_keys)
-        if self.config.enforce_memory:
-            self._check_memory_footprint()
-
-        regions, total = self._ship_moved_regions(old_proc, new_map, k)
-        pause = self.env.now - quiesce_at
+        moved, _, total, pause = self._replace(
+            k, lambda current, _: shrink_mapping(current, healthy, balanced=True))
         REGISTRY.record("runtime.straggler_pause_s", pause)
         self._probe_runtime(
             "migrate_straggler",
             detail=(
-                f"drained node(s) {sorted(stragglers)}; {len(moved_keys)} "
+                f"drained node(s) {sorted(stragglers)}; {moved} "
                 f"thread(s) moved to {len(healthy)} healthy node(s) in "
                 f"{pause:.6f}s pause"
             ),
@@ -1001,24 +917,17 @@ class SageRuntime:
         else keeps its current placement, so restores compose with any
         concurrent degraded-mode state.
         """
-        quiesce_at = self.env.now
-        old_proc, current, original = self._placement()
-        new_map = grow_mapping(current, original, {p: p for p in nodes})
-        moved_keys = self._install_placement(new_map, old_proc)
         for p in nodes:
             self._drained.discard(p)
             self._drain_probation.pop(p, None)
-        self._update_remote_tables(old_proc, new_map, moved_keys)
-        if self.config.enforce_memory:
-            self._check_memory_footprint()
-
-        regions, total = self._ship_moved_regions(old_proc, new_map, k)
-        pause = self.env.now - quiesce_at
+        moved, _, total, pause = self._replace(
+            k, lambda current, original: grow_mapping(
+                current, original, {p: p for p in nodes}))
         REGISTRY.record("runtime.straggler_pause_s", pause)
         self._probe_runtime(
             "migrate_straggler",
             detail=(
-                f"restored node(s) {sorted(nodes)}; {len(moved_keys)} "
+                f"restored node(s) {sorted(nodes)}; {moved} "
                 f"thread(s) earned back in {pause:.6f}s pause"
             ),
             iteration=k,

@@ -2,7 +2,7 @@
 
 Real deployments of SAGE-generated code ran on embedded VxWorks systems
 where a node or fabric failure mid-mission had to be survivable.  The
-run-time therefore executes under one of three :class:`FaultPolicy` modes:
+run-time therefore executes under one of six :class:`FaultPolicy` modes:
 
 * ``fail_fast`` — the historical behaviour: the first fault aborts the run
   with a legible error naming the failed component and the virtual time.
@@ -29,9 +29,9 @@ run-time therefore executes under one of three :class:`FaultPolicy` modes:
   re-growth: when replacement capacity powers on (a
   :class:`~repro.machine.faults.NodeJoin` event), the run-time admits it
   through the detector's join handshake at the next iteration boundary,
-  migrates the displaced threads' checkpointed buffer state back over the
-  fabric (``join`` / ``grow`` / ``migrate`` probes), incrementally
-  re-stripes — only moved threads are re-planned — and resumes at full
+  re-derives the staging plan for the restored placement, migrates the
+  displaced threads' checkpointed buffer state back over the fabric
+  (``join`` / ``grow`` / ``migrate`` probes), and resumes at full
   striping width, closing the crash → shrink → degraded → re-grow →
   restored loop (see ``docs/ELASTICITY.md``).
 * ``migrate_stragglers`` — everything ``grow_restripe`` does, plus *gray*
@@ -69,7 +69,9 @@ class FaultPolicy:
     Attributes
     ----------
     mode:
-        One of ``"fail_fast"``, ``"retry"``, ``"checkpoint_restart"``.
+        One of :data:`POLICY_MODES`: ``"fail_fast"``, ``"retry"``,
+        ``"checkpoint_restart"``, ``"shrink_restripe"``,
+        ``"grow_restripe"``, ``"migrate_stragglers"``.
     max_retries:
         Per-operation re-transmissions / kernel re-invocations (modes
         ``retry`` and ``checkpoint_restart``).

@@ -47,7 +47,6 @@ __all__ = [
     "region_shape",
     "region_indexer",
     "plan_remote_traffic",
-    "plan_remote_traffic_delta",
 ]
 
 
@@ -333,8 +332,9 @@ def plan_remote_traffic(plan, src_proc_of, dst_proc_of):
     the sending / receiving thread.  Returns two dicts,
     ``(send_bytes_by_src_thread, recv_bytes_by_dst_thread)``, counting only
     the hops whose endpoints land on different processors — the traffic the
-    run-time must stage through the fabric.  Recomputed by the shrinking
-    recovery path whenever the placement changes.
+    run-time must stage through the fabric.  The run-time recomputes it over
+    every buffer at construction and after every re-placement (shrink, grow,
+    straggler drain and restore).
     """
     send: dict = {}
     recv: dict = {}
@@ -344,50 +344,4 @@ def plan_remote_traffic(plan, src_proc_of, dst_proc_of):
             recv[msg.dst_thread] = recv.get(msg.dst_thread, 0) + msg.nbytes
     REGISTRY.count("striping.replan_full_messages", len(plan))
     REGISTRY.count("striping.replan_full", 1)
-    return send, recv
-
-
-def plan_remote_traffic_delta(
-    plan, send, recv,
-    old_src_proc_of, old_dst_proc_of,
-    new_src_proc_of, new_dst_proc_of,
-    moved_src, moved_dst,
-):
-    """O(delta) update of :func:`plan_remote_traffic` tables after a partial
-    re-placement.
-
-    ``moved_src`` / ``moved_dst`` are the source/destination threads whose
-    processor changed between the old and new placements; only messages with
-    at least one moved endpoint are revisited (each one's old contribution is
-    retired and its new contribution applied), so the cost scales with the
-    migration delta, not the full plan — the property the elasticity
-    acceptance test asserts through the ``striping.replan_delta_messages``
-    counter.  Returns new ``(send, recv)`` dicts; the inputs are not
-    mutated.  Entries that drop to zero are removed, so the result is
-    byte-identical to a full recompute at the new placement.
-    """
-    moved_src = set(moved_src)
-    moved_dst = set(moved_dst)
-    send = dict(send)
-    recv = dict(recv)
-    visited = 0
-    for msg in plan:
-        s, d = msg.src_thread, msg.dst_thread
-        if s not in moved_src and d not in moved_dst:
-            continue
-        visited += 1
-        if old_src_proc_of(s) != old_dst_proc_of(d):
-            send[s] = send.get(s, 0) - msg.nbytes
-            recv[d] = recv.get(d, 0) - msg.nbytes
-        if new_src_proc_of(s) != new_dst_proc_of(d):
-            send[s] = send.get(s, 0) + msg.nbytes
-            recv[d] = recv.get(d, 0) + msg.nbytes
-    for table in (send, recv):
-        for key in [k for k, v in table.items() if v == 0]:
-            del table[key]
-    REGISTRY.count("striping.replan_delta_messages", visited)
-    REGISTRY.count(
-        "striping.replan_delta_threads", len(moved_src) + len(moved_dst)
-    )
-    REGISTRY.count("striping.replan_delta", 1)
     return send, recv

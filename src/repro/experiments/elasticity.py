@@ -1,6 +1,6 @@
 """Experiment R3: elastic membership — join, re-grow, live migration.
 
-Three measurements around the join/admission protocol
+Two measurements around the join/admission protocol
 (:meth:`repro.mpi.detector.FailureDetector.request_join`) and the
 run-time's ``grow_restripe`` policy:
 
@@ -17,9 +17,6 @@ run-time's ``grow_restripe`` policy:
   table reports detection latency, join latency, the migration pause, and
   the steady-state throughput before failure, degraded, and after re-grow
   — the acceptance bar is recovery to within 5% of the pre-failure rate.
-* **Incremental re-striping** — the same runs report how many messages the
-  delta re-plan actually revisited versus what a from-scratch recompute
-  would have visited (``striping.replan_*`` counters).
 
 Run: ``python -m repro elasticity [--quick] [-o FILE]``.
 """
@@ -33,11 +30,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..apps import benchmark_mapping
 from ..core.codegen import generate_glue
-from ..core.runtime.buffers import buffer_views
 from ..faults import FaultPlan, FaultPolicy
 from ..machine import get_platform
 from ..mpi.detector import HeartbeatConfig
-from ..perf.registry import REGISTRY
 from .runner import (
     APP_BUILDERS,
     mean_detect_ms,
@@ -85,8 +80,6 @@ class ElasticPoint:
     degraded_rate: float    # steady-state rate after shrink, no re-grow
     recovered_rate: float   # steady-state rate after re-grow
     recovery_pct: float     # recovered / base * 100 (acceptance: >= 95)
-    delta_msgs: int         # messages revisited by incremental re-plans
-    full_msgs: int          # messages full recomputes would have visited
 
 
 # -- join latency ------------------------------------------------------------
@@ -166,9 +159,6 @@ def run_elastic_recovery(
         app = APP_BUILDERS[app_name][0](size, nodes)
         glue = generate_glue(app, benchmark_mapping(app, nodes),
                              num_processors=nodes)
-        # Messages one from-scratch re-plan of every buffer would visit.
-        total_plan_msgs = sum(len(buf.plan) for buf in buffer_views(app))
-
         # Same-policy fault-free baseline so detector overheads cancel out
         # of the throughput comparison.
         base = run_glue(glue, platform, iterations,
@@ -197,7 +187,6 @@ def run_elastic_recovery(
             for i in range(k):
                 plan.join_node(nodes - 1 - i,
                                at=base.makespan * (0.62 + 0.05 * i))
-            before = dict(REGISTRY.snapshot()["counters"])
             try:
                 result = run_glue(glue, platform, iterations, plan,
                                   FaultPolicy.grow_restripe(max_restarts=k + 2))
@@ -208,11 +197,8 @@ def run_elastic_recovery(
                     join_ms=math.nan, pause_ms=math.nan, migrated_bytes=0,
                     base_rate=base_rate, degraded_rate=degraded_rate,
                     recovered_rate=math.nan, recovery_pct=math.nan,
-                    delta_msgs=0, full_msgs=0,
                 ))
                 continue
-            after = dict(REGISTRY.snapshot()["counters"])
-            delta = "striping.replan_delta_messages"
             migrates = result.trace.by_kind("migrate")
             joins = _probe_seconds(result.trace.by_kind("join"))
             pauses = _probe_seconds(migrates)
@@ -234,10 +220,6 @@ def run_elastic_recovery(
                 degraded_rate=degraded_rate,
                 recovered_rate=recovered_rate,
                 recovery_pct=recovery,
-                delta_msgs=after.get(delta, 0) - before.get(delta, 0),
-                full_msgs=((len(result.trace.by_kind("shrink"))
-                            + len(result.trace.by_kind("grow")))
-                           * total_plan_msgs),
             ))
     return points
 
@@ -293,15 +275,5 @@ def format_elasticity(
         "steady state on the survivors, recov = steady state after the "
         "re-grow; acceptance is recov within 5% of base)"
     )
-    done = [p for p in elastic if p.completed]
-    if done:
-        delta = sum(p.delta_msgs for p in done)
-        full = sum(p.full_msgs for p in done)
-        lines += [
-            "",
-            f"Incremental re-striping: delta re-plans revisited {delta} "
-            f"message(s); from-scratch recomputes would have visited "
-            f"{full}.",
-        ]
     return "\n".join(lines)
 

@@ -22,8 +22,8 @@ run-time's ``migrate_stragglers`` policy:
   striping has slack for a clean drain) runs while 1–2 nodes limp at
   0.25x speed.  Reported: steady-state throughput of the clean run, the
   limping run left alone, and the limping run under ``migrate_stragglers``
-  (drain at an iteration boundary via incremental re-striping, threads
-  earned back on recovery).  Acceptance: recovered throughput >= 80% of
+  (drain at an iteration boundary by re-placing the straggler's threads,
+  threads earned back on recovery).  Acceptance: recovered throughput >= 80% of
   clean with one limping node of 8.
 
 Run: ``python -m repro gray-failure [--quick] [-o FILE]``.

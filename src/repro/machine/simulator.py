@@ -639,11 +639,13 @@ class Resource:
         Needed when the requesting process is killed while suspended on
         the request event: a granted slot must be released and a queued
         request withdrawn, or the resource leaks and every later requester
-        deadlocks.
+        deadlocks.  A request that :meth:`reset` failed was never granted,
+        so there is nothing to give back.
         """
         if request.triggered:
             # The slot was granted (possibly not yet observed): give it back.
-            self.release()
+            if request._ok:
+                self.release()
             return
         try:
             self._waiters.remove(request)

@@ -263,7 +263,7 @@ def make_spec(**overrides) -> dict:
 def _chain_model(c1_proc: int):
     """A 1-thread producer striped into a 2-thread consumer: the smallest
     model where moving one consumer thread flips exactly one message's
-    locality (what the RECON002/003 delta check needs to notice)."""
+    locality."""
     t = DataType("m", "float32", (8, 8))
     app = ApplicationModel("chain")
     p = app.add_block(FunctionBlock("p", kernel="relax"))
@@ -284,25 +284,6 @@ def recon_stranded_thread():
     app, mapping = _chain_model(c1_proc=1)
     transition = plan_migration_transition(app, mapping, {(1, 1): 1})
     transition.active = {0}
-    return app, transition, 2
-
-
-def recon_orphaned_send():
-    """A colocated consumer thread moves remote, but the engine's moved set
-    forgot it: the delta-composed traffic table misses the new remote
-    send (it would never be staged)."""
-    app, mapping = _chain_model(c1_proc=0)
-    transition = plan_migration_transition(app, mapping, {(1, 1): 1})
-    transition.moved = set()
-    return app, transition, 2
-
-
-def recon_duplicated_send():
-    """The inverse defect: a remote consumer thread moves home, the moved
-    set forgot it, and the stale table still carries the now-local send."""
-    app, mapping = _chain_model(c1_proc=1)
-    transition = plan_migration_transition(app, mapping, {(1, 1): 0})
-    transition.moved = set()
     return app, transition, 2
 
 
@@ -336,8 +317,6 @@ def recon_deadlocked_after():
 
 RECON_SEEDS = [
     ("stranded-thread", recon_stranded_thread, "RECON001"),
-    ("orphaned-send", recon_orphaned_send, "RECON002"),
-    ("duplicated-send", recon_duplicated_send, "RECON003"),
     ("lost-checkpoint", recon_lost_checkpoint, "RECON004"),
     ("double-shipped", recon_double_shipped, "RECON005"),
     ("deadlocked-after", recon_deadlocked_after, "RECON006"),

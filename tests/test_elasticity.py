@@ -1,8 +1,8 @@
 """Elastic membership: node join, re-grow after shrink, live migration.
 
 Covers the whole stack: simulator/cluster slot hygiene on remove/re-add,
-the detector's join/admission handshake, ``grow_mapping`` / incremental
-re-striping, and the run-time's ``grow_restripe`` policy end to end.
+the detector's join/admission handshake, ``grow_mapping``, and the
+run-time's ``grow_restripe`` policy end to end.
 """
 
 import numpy as np
@@ -18,10 +18,6 @@ from repro.core.codegen import generate_glue
 from repro.core.model import Mapping
 from repro.core.model.mapping import grow_mapping, shrink_mapping
 from repro.core.runtime import SageRuntime
-from repro.core.runtime.striping import (
-    plan_remote_traffic,
-    plan_remote_traffic_delta,
-)
 from repro.faults import FaultPlan, FaultPolicy
 from repro.machine import Environment, SimCluster, cspi
 from repro.machine.simulator import SimulationError
@@ -220,7 +216,7 @@ class TestJoinProtocol:
         assert trace() == trace()
 
 
-# -- mapping + incremental re-striping ---------------------------------------
+# -- grow mapping ------------------------------------------------------------
 
 class TestGrowMapping:
     def test_replacements_restore_original_home(self):
@@ -243,43 +239,6 @@ class TestGrowMapping:
         wave1 = grow_mapping(degraded, original, {2: 2})
         wave2 = grow_mapping(wave1, original, {3: 3})
         assert dict(wave2.items()) == dict(original.items())
-
-
-class TestRemoteTrafficDelta:
-    def _plan(self):
-        app = fft2d_model(N, NODES)
-        glue = generate_glue(app, benchmark_mapping(app, NODES),
-                             num_processors=NODES)
-        runtime = SageRuntime.build(glue, cspi())
-        return runtime.buffers[0].plan
-
-    def test_delta_matches_full_recompute(self):
-        plan = self._plan()
-        old_src = lambda t: t % NODES  # noqa: E731
-        old_dst = lambda t: t % NODES  # noqa: E731
-        new_src = lambda t: 0 if t == 2 else t % NODES  # noqa: E731
-        new_dst = lambda t: 0 if t == 5 else t % NODES  # noqa: E731
-        send0, recv0 = plan_remote_traffic(plan, old_src, old_dst)
-        got_send, got_recv = plan_remote_traffic_delta(
-            plan, send0, recv0, old_src, old_dst, new_src, new_dst,
-            {2}, {5})
-        want_send, want_recv = plan_remote_traffic(plan, new_src, new_dst)
-        assert got_send == want_send
-        assert got_recv == want_recv
-        # Inputs were not mutated.
-        assert (send0, recv0) == plan_remote_traffic(plan, old_src, old_dst)
-
-    def test_delta_visits_only_moved_threads(self):
-        plan = self._plan()
-        proc = lambda t: t % NODES  # noqa: E731
-        send0, recv0 = plan_remote_traffic(plan, proc, proc)
-        before = REGISTRY.counters.get("striping.replan_delta_messages", 0)
-        plan_remote_traffic_delta(plan, send0, recv0, proc, proc,
-                                  proc, proc, {3}, set())
-        visited = (REGISTRY.counters["striping.replan_delta_messages"]
-                   - before)
-        touching = sum(1 for m in plan if m.src_thread == 3)
-        assert visited == touching < len(plan)
 
 
 # -- run-time end to end -----------------------------------------------------
@@ -366,28 +325,6 @@ class TestGrowRestripe:
         recovered = float(np.mean(np.diff(post)))
         baseline = float(np.mean(base_intervals[-len(post) + 1:]))
         assert recovered == pytest.approx(baseline, rel=0.05)
-
-    def test_incremental_restripe_no_full_recompute(self, baselines):
-        """Acceptance: membership changes re-plan through the delta path
-        only — zero full recomputes after runtime construction, and the
-        delta visits fewer messages than one full sweep would."""
-        base = baselines["clean"]["fft2d"]
-        runtime = make_runtime(fft2d_model, plan=elastic_plan(base.makespan),
-                               policy=FaultPolicy.grow_restripe())
-        total_plan = sum(len(buf.plan) for buf in runtime.buffers)
-        before = dict(REGISTRY.counters)
-
-        def counted(name):
-            return REGISTRY.counters.get(name, 0) - before.get(name, 0)
-
-        result = run(runtime)
-        assert result.trace.by_kind("migrate")
-        assert counted("striping.replan_full") == 0
-        assert counted("striping.replan_delta") > 0
-        changes = (len(result.trace.by_kind("shrink"))
-                   + len(result.trace.by_kind("grow")))
-        assert 0 < counted("striping.replan_delta_messages") \
-            < changes * total_plan
 
     def test_migration_pause_recorded(self, baselines):
         base = baselines["clean"]["fft2d"]

@@ -24,6 +24,7 @@ from repro.machine.simulator import (
     CallbackProcess,
     Environment,
     Resource,
+    SimulationError,
 )
 
 from .killable_process import KillableProcess
@@ -119,6 +120,24 @@ class TestCallbackCancel:
         env.run()
         assert proc.done.value is None and env.now == 0.0
         assert res.count == 0 and res.queue_length == 0
+
+    def test_request_failed_by_reset_fails_with_the_reset_error(self):
+        """A reset fails the queued request: the waiter dies with the
+        reset's own error and gives back no slot it was never granted —
+        not the one a new holder took after the reset."""
+        env = Environment()
+        res = Resource(env, capacity=1)
+        Holder(env, (res,), 5)
+        waiter = Holder(env, (res,), 5)
+        failures = []
+        waiter.done.callbacks.append(lambda ev: failures.append(ev.value))
+        _at(env, 1, lambda: (res.reset(), res.request()))
+        env.run(until=2)
+        (exc,) = failures
+        assert isinstance(exc, SimulationError)
+        assert "resource reset" in str(exc)
+        assert not waiter.done.ok
+        assert res.count == 1 and res.queue_length == 0
 
     def test_cancel_after_finish_is_a_noop(self):
         env = Environment()

@@ -149,149 +149,149 @@ def case_digest(case) -> str:
 #: sha256 of the canonical JSON of :func:`case_outputs`, keyed (app, size, nodes, mapping).
 TRAFFIC_SHA256 = {
     ('fft2d', 32, 2, 'benchmark'):
-        "eebd5f1d9ed9484ebbc1c5530e95230b2f4d3407e54e77ca1d75121df406891a",
+        "01f99871ccf42b4a38bc4bd079f77b999fa7c493020c164943b0b2aeedf3d5ff",
     ('fft2d', 32, 2, 'round_robin'):
-        "eebd5f1d9ed9484ebbc1c5530e95230b2f4d3407e54e77ca1d75121df406891a",
+        "01f99871ccf42b4a38bc4bd079f77b999fa7c493020c164943b0b2aeedf3d5ff",
     ('fft2d', 32, 2, 'random1'):
-        "1aa77ffb7ad56a20dc6b04f910f2574330a68ab867944618f0f4fdf68f7dfc5c",
+        "fc3fb20fdc9f8daf3fb06e78a5ef9531ac3f2c31f9a92d3de3a409ebaa55b724",
     ('fft2d', 32, 2, 'random2'):
-        "8dbc3e796a0157183c4c4336d80aad039503cd52d5abb4851aa146754402af25",
+        "dbcce3dfb931398192139815c37adaba3c6184e83abe92bf8d97538ee06034d3",
     ('fft2d', 32, 4, 'benchmark'):
-        "98320ee8855f0b4a7eed28cf2d734ebc9e4a62eaca1a62026154c5c7ea90c9ab",
+        "656c426cb71d9a5486e936ba0181fb7ba0a5688a4222fa3c16998df599caddb5",
     ('fft2d', 32, 4, 'round_robin'):
-        "98320ee8855f0b4a7eed28cf2d734ebc9e4a62eaca1a62026154c5c7ea90c9ab",
+        "656c426cb71d9a5486e936ba0181fb7ba0a5688a4222fa3c16998df599caddb5",
     ('fft2d', 32, 4, 'random1'):
-        "c0b234d07627e6777f7d121b2da66598daf666b2413b289bdfecfa49aa629d89",
+        "5dcd81e2daddac67d8a6497b14825f0110d99a0020dd4c503c8709a23a1005ea",
     ('fft2d', 32, 4, 'random2'):
-        "ae34e7eb548a2568f5f949ebb817d632375e9715366cc215ea435733634ed206",
+        "c9fe23ce79908f44913af1ebe8007f47b80635b53e451965fd5f90c434c8bc39",
     ('fft2d', 32, 8, 'benchmark'):
-        "39ce21e9c4b49b715a1667ad294b99d3510f944fda80d6baeb58933fd115c966",
+        "af1e60103c5f40f185318a94cfc8072f37fb805734a71eaa74e9658d6b982dae",
     ('fft2d', 32, 8, 'round_robin'):
-        "39ce21e9c4b49b715a1667ad294b99d3510f944fda80d6baeb58933fd115c966",
+        "af1e60103c5f40f185318a94cfc8072f37fb805734a71eaa74e9658d6b982dae",
     ('fft2d', 32, 8, 'random1'):
-        "ce542d7ec59c51fb2a1e556ecd8614e34880aac73af995bc2273b69d9d1ae1da",
+        "73b419949fd175b55b90364dea3394130b7721ddd249054509945097b5408c38",
     ('fft2d', 32, 8, 'random2'):
-        "71a44fb2039e838d329f8f18e42d9724bc6513267b3c67ca6d94f2288ad0cfc1",
+        "d809b7a2186760842c095cf3031363f66d79c934a417b9d734dcd52fe7ce2891",
     ('fft2d', 64, 2, 'benchmark'):
-        "af108cdb43d09c48df4cb61ff594ee221111145d570473a980fa9c582cbf2b71",
+        "0e03345c3a9d0d63a7c3a5ef152fcb3f93d411ea08dc269cef1ec4541022f1ca",
     ('fft2d', 64, 2, 'round_robin'):
-        "af108cdb43d09c48df4cb61ff594ee221111145d570473a980fa9c582cbf2b71",
+        "0e03345c3a9d0d63a7c3a5ef152fcb3f93d411ea08dc269cef1ec4541022f1ca",
     ('fft2d', 64, 2, 'random1'):
-        "141d873a7c81ad8cb12aecc988cf7facde11d70469a3f5c7273de2de155d2118",
+        "a2d081afd0dc516ad1e65a66ffc1f573e438b58459b7b9f9e450a0fbae00c600",
     ('fft2d', 64, 2, 'random2'):
-        "0d37afebec443e6318b0c94b57c91e3f734ee9c54d1c7d010f8db271c3f0bfb4",
+        "27bb8322193fd757297367f4d16115b94d0ae24d29be8d70b248aac70dd5e71e",
     ('fft2d', 64, 4, 'benchmark'):
-        "13281b440767bd31a6910f2cba7001fa273532ef9faca155d21fd5fe8fe41b10",
+        "fd5c9c19ce8a7a1fffd7365594f2a988c3703585275735a2fb014a1ebde12a14",
     ('fft2d', 64, 4, 'round_robin'):
-        "13281b440767bd31a6910f2cba7001fa273532ef9faca155d21fd5fe8fe41b10",
+        "fd5c9c19ce8a7a1fffd7365594f2a988c3703585275735a2fb014a1ebde12a14",
     ('fft2d', 64, 4, 'random1'):
-        "c3290f6ad701f127bda7216492bd8b4c13ea16e2206eecfa0405b9546edc9f89",
+        "fd19bc55d29111989d79ec6e80731bd78f86c320af437e6519d3050ea0f0689a",
     ('fft2d', 64, 4, 'random2'):
-        "4967a81ea03da37ccdf59923dac70da0e32908b87784740b581f9f54f87e9fb7",
+        "b666678831cf77769e28aa5d5ec2e99c3a96a79e49112cab2cd3b8c06426d300",
     ('fft2d', 64, 8, 'benchmark'):
-        "647e483789214ee6decd4c6ac6ca5df8d6f51b5fc764bbbe9465efc8e92af812",
+        "1eb7b30106f909a3df505521d20146c0240554a8157577c69e73c7ecdd6f887b",
     ('fft2d', 64, 8, 'round_robin'):
-        "647e483789214ee6decd4c6ac6ca5df8d6f51b5fc764bbbe9465efc8e92af812",
+        "1eb7b30106f909a3df505521d20146c0240554a8157577c69e73c7ecdd6f887b",
     ('fft2d', 64, 8, 'random1'):
-        "c6696bbf195e9396f1b444b5fcb98cfd8b98c728549b6c9652dd340bc0133b3a",
+        "99de3e58fdbae8979fc510764e336437033a76ab4276ef8e3959c75bdbc3fe70",
     ('fft2d', 64, 8, 'random2'):
-        "dd5469400200f7aa05ed020dc5f22d09d0f6c7ef875fda4ffb5c5825e1a8a031",
+        "33ec27a2fddda1608fc46ff68d114a91e9f0bec0d086f7a215f0ef5d0a1c153d",
     ('corner_turn', 32, 2, 'benchmark'):
-        "1037f36f86d316258ed7ec58dcfa36cb2c289dc381cbd57e7c0ca2af1756dad5",
+        "03e3c038a09ab35b1a63ff22203e60bfdc1314ca0c4eb7e6bab33d3255e1d04f",
     ('corner_turn', 32, 2, 'round_robin'):
-        "1037f36f86d316258ed7ec58dcfa36cb2c289dc381cbd57e7c0ca2af1756dad5",
+        "03e3c038a09ab35b1a63ff22203e60bfdc1314ca0c4eb7e6bab33d3255e1d04f",
     ('corner_turn', 32, 2, 'random1'):
-        "2c1df5dc4042a607c68f91cabc21b71a07f7c55089ea165f398ab16e4582da75",
+        "20d3d569f2d35427bd029e413c6b1d09cb07543e3634bb1bc941b08cd2a4152f",
     ('corner_turn', 32, 2, 'random2'):
-        "ba0ee51f3fef2219a4a82ce9256429394525703debeafd4d2a730560fd0bd3e9",
+        "4403c8e3a8c8e0b5c2d681734a2148b534e2308e0890b153c040964247d1d0ab",
     ('corner_turn', 32, 4, 'benchmark'):
-        "2a7782255a19fcc2ad406e814da8011138064dafa376ac527d84b5b36fb212fb",
+        "380043ddb32ff64724526e2c8167d0ea82e5c5da17be8be008d045d8c6192c40",
     ('corner_turn', 32, 4, 'round_robin'):
-        "2a7782255a19fcc2ad406e814da8011138064dafa376ac527d84b5b36fb212fb",
+        "380043ddb32ff64724526e2c8167d0ea82e5c5da17be8be008d045d8c6192c40",
     ('corner_turn', 32, 4, 'random1'):
-        "7fbc3f718c12c00efcf1961c7266b2557035befd6109af6c626b82f87fabf954",
+        "4792e1a840bfaaa82e96d760bd820f240ef984cd7942c79ff86b71e327126a77",
     ('corner_turn', 32, 4, 'random2'):
-        "9d75c5d28088c9d077c58eea25b368392c66f401d9a64decded59453e5168372",
+        "3ebef839b72f8d5edb6ff70d637dc2307a2d3d85962eac79a4407b8b6bec7d92",
     ('corner_turn', 32, 8, 'benchmark'):
-        "dfd354560f6251081ffa636e74b5eaea29976d9c428c7d8993cba98e8adc42bb",
+        "cced1c0e99181fa48a3052eacb18cdaecaaad1f2de823aec46fb1172293b38ea",
     ('corner_turn', 32, 8, 'round_robin'):
-        "dfd354560f6251081ffa636e74b5eaea29976d9c428c7d8993cba98e8adc42bb",
+        "cced1c0e99181fa48a3052eacb18cdaecaaad1f2de823aec46fb1172293b38ea",
     ('corner_turn', 32, 8, 'random1'):
-        "177c3a48f4d8da7575c4576bd0f1e977ff87ba36ff8d3f80d7ac82318c7dd91b",
+        "a591d205820329f2f2178346109ce35ab517a761d26d786b45265383bf44915a",
     ('corner_turn', 32, 8, 'random2'):
-        "fcda7fee7e87113b91006fe2e7ba7c4495fbd107ab45723d3f66bd197752be4e",
+        "9bd1688e0f5f4d0bcf206f1a79456077fb3ed725ab4c090941d64193c599c084",
     ('corner_turn', 64, 2, 'benchmark'):
-        "baefe9305396cda1c4007b619c8c24cecf574b82d6cecf7699ac3d36ff517b5a",
+        "a031f5413f4deee562a45fe7d08fba4ae4312aa49404d4a854652665c3071b58",
     ('corner_turn', 64, 2, 'round_robin'):
-        "baefe9305396cda1c4007b619c8c24cecf574b82d6cecf7699ac3d36ff517b5a",
+        "a031f5413f4deee562a45fe7d08fba4ae4312aa49404d4a854652665c3071b58",
     ('corner_turn', 64, 2, 'random1'):
-        "856bb481fff627a4ee52bfce5ede76bfd15ec101da2eeaeacc9502da4956dae8",
+        "2004a9729521f91c3b30b739b76b3ec491dfd01f4d796ba2ec65ae71476c9dfa",
     ('corner_turn', 64, 2, 'random2'):
-        "1be563137080be6e7e3f4f84dfed405feff5f236409f119658b173cdc74acbbd",
+        "a35e6ae6af277d27d05eb50920057499bedcba2731e46c2db0565128949f66b9",
     ('corner_turn', 64, 4, 'benchmark'):
-        "439f49ec296891a678377c61ae0d0c77edc13a8e0b6aeafd65725f40734f449b",
+        "36a73cc6a5d396302b957ffb3c3a98182384a8bc0a72cb3f0ba22d471ed28a32",
     ('corner_turn', 64, 4, 'round_robin'):
-        "439f49ec296891a678377c61ae0d0c77edc13a8e0b6aeafd65725f40734f449b",
+        "36a73cc6a5d396302b957ffb3c3a98182384a8bc0a72cb3f0ba22d471ed28a32",
     ('corner_turn', 64, 4, 'random1'):
-        "a9b46b5fd63b416c44e742c7da8bc2da6c48107ba1cbaf4b2576ab8bdc6a3bbf",
+        "b1d836cbdd67f3f94e29a7c1fdcca3f5297cf789585d414effc5a8afe6a7235c",
     ('corner_turn', 64, 4, 'random2'):
-        "8dca575c3ebb1c40905f29f4580b0660c986860cd3cda9b85e0422a7fa3bbecc",
+        "a90e88c4f51a64671be8f2b7b9544b9fe95353310e1afc68aab749730509f782",
     ('corner_turn', 64, 8, 'benchmark'):
-        "ef8d88e9430ff9dda042e69411ae60b390e53108b3646dce06e3310bf228c1c9",
+        "01f6ff9341d24eea33f65c1de56bb61411b94e4749e1beab5553fdcf41773e92",
     ('corner_turn', 64, 8, 'round_robin'):
-        "ef8d88e9430ff9dda042e69411ae60b390e53108b3646dce06e3310bf228c1c9",
+        "01f6ff9341d24eea33f65c1de56bb61411b94e4749e1beab5553fdcf41773e92",
     ('corner_turn', 64, 8, 'random1'):
-        "e46b738b20147300a878223b9a7f5b682145fc4962a1b953d8543a8dd5987709",
+        "5c3f65f248ff6662bf13e040606590f1351b195a89cbf6d23d76f3d9965126bb",
     ('corner_turn', 64, 8, 'random2'):
-        "fa1bc0a13351dbf5ca3162cb631a6bc975a255366bf219311b4a1e8675acd8d7",
+        "befd3f254385965ea0b422a22fb93c2886e62b79ac702aeaf0fc58c41f54968c",
     ('fft2d_slack', 32, 2, 'benchmark'):
-        "42d1f2e7bce56edcf23f6aa740752e8d78307a6d36f2f68403c3125814e2306c",
+        "f54724782e0039488c71a1e69bdae14815c884ef228bdf83d95069c0e27c0d13",
     ('fft2d_slack', 32, 2, 'round_robin'):
-        "42d1f2e7bce56edcf23f6aa740752e8d78307a6d36f2f68403c3125814e2306c",
+        "f54724782e0039488c71a1e69bdae14815c884ef228bdf83d95069c0e27c0d13",
     ('fft2d_slack', 32, 2, 'random1'):
-        "fe235f00d493fc4a9beb30c29620dadd2d95f8331032d8607dac9177833fd43f",
+        "00a07225bd18b0e41e223d3ce71b1f8d143bef9d814218065d9af3c68cafe326",
     ('fft2d_slack', 32, 2, 'random2'):
-        "0dc235d457dbe26da1c96dd41ab686b6704aad2f2a4c04f24fea9c263f319ec1",
+        "97e2910a0d97693cc9a8d1a99c13c71033bc9288786fc6c5078f26a71c14ece5",
     ('fft2d_slack', 32, 4, 'benchmark'):
-        "449664319a455046d050049a1e9f8ea143df9846bd35caf393f2e3551aa53be2",
+        "0d89b927feba850a09416ec0248186416b763f117fb76c361cc630eed625dae2",
     ('fft2d_slack', 32, 4, 'round_robin'):
-        "449664319a455046d050049a1e9f8ea143df9846bd35caf393f2e3551aa53be2",
+        "0d89b927feba850a09416ec0248186416b763f117fb76c361cc630eed625dae2",
     ('fft2d_slack', 32, 4, 'random1'):
-        "27ad595da634f97dff34f1144b562d6ec2b21e13d3979d0ebad9b0b5b7031c7d",
+        "f86553ca990bd01169dc901783fe720634232b4eb20c776be39643bd8523441a",
     ('fft2d_slack', 32, 4, 'random2'):
-        "e4c749060daa4dacc2f4f6884e16e194d0eb463332d466997acd766410f23bdd",
+        "d0910ce73e181a822c5ec3008c5f72b1ea703fe484ce09ed86ce619d841b56c2",
     ('fft2d_slack', 32, 8, 'benchmark'):
-        "cd7fa117b4901ad3c1fbee1a34a6d404e6262c4022a1c58ed7c0c29aeaf25e7d",
+        "35d36e0c4a9752454f27b5dd0fc1ab66e4a3bfb4aa330937ce0519035538a392",
     ('fft2d_slack', 32, 8, 'round_robin'):
-        "cd7fa117b4901ad3c1fbee1a34a6d404e6262c4022a1c58ed7c0c29aeaf25e7d",
+        "35d36e0c4a9752454f27b5dd0fc1ab66e4a3bfb4aa330937ce0519035538a392",
     ('fft2d_slack', 32, 8, 'random1'):
-        "3629d5ff0b2bb7b46973a9bf173f976abaaecbee6a96607fa6c8e8433ed7862d",
+        "e908e6a1c3cf07c6e3d9f2792e4a623921452c144a5db1275e23541179dd507b",
     ('fft2d_slack', 32, 8, 'random2'):
-        "a13ec04a9ae5119da7ec52d14641889d84cc18e9a36ed46794de8a3865ac3f77",
+        "28d85e885e7c4843d57ef9226360fe0db32f039e8ecff598d809774c59f33169",
     ('fft2d_slack', 56, 2, 'benchmark'):
-        "2d4b3b76cb002faf34f35a092d732c341c17beab7586190f9c5355a4d7ca7ac4",
+        "0f3ce2edcb5dafafa9e0b704a99a31975b29fcea85a85d29932414577d85128d",
     ('fft2d_slack', 56, 2, 'round_robin'):
-        "2d4b3b76cb002faf34f35a092d732c341c17beab7586190f9c5355a4d7ca7ac4",
+        "0f3ce2edcb5dafafa9e0b704a99a31975b29fcea85a85d29932414577d85128d",
     ('fft2d_slack', 56, 2, 'random1'):
-        "f0935ab0de8c8fea8a39f7907de0a6fff6f5732c8f05e7ea231b8b6b759045b7",
+        "281e3d40daab944dc8ffad54ec01678073c0c41b0083e5c04124b0e18fef83ee",
     ('fft2d_slack', 56, 2, 'random2'):
-        "d65199ed93e4bda3ce1cbb01ccbf65ffe56914cc09a9d806a28ff6e7f2e62088",
+        "9536b4753ae473b846048822a5c09bb8f04b557949b2b808754cb22468f2da94",
     ('fft2d_slack', 56, 4, 'benchmark'):
-        "89802cc5ed701218e16597dbaee20b451455e54766d0278d6b1914acbdea5b97",
+        "b1cda6758356220043c827dcb728a0e893dfce41e693b85a1b842043d388fd5c",
     ('fft2d_slack', 56, 4, 'round_robin'):
-        "89802cc5ed701218e16597dbaee20b451455e54766d0278d6b1914acbdea5b97",
+        "b1cda6758356220043c827dcb728a0e893dfce41e693b85a1b842043d388fd5c",
     ('fft2d_slack', 56, 4, 'random1'):
-        "ff2fc0267d509122bc01bdf558eb7dae62cd462a2c6e315aa1cf2d910eaa69dd",
+        "f7348c0da385469f3b2b754cacdea9d191a82b5457fc597350aa002a02951d90",
     ('fft2d_slack', 56, 4, 'random2'):
-        "96162e9e94c09c4f531a792f6f7bc9ea86c538b1053c8b63dbac382a50bc3b41",
+        "5fd7a3009c0dfc42480f03e660373d250d45dfd37a09a6e8538ba0ad06237466",
     ('fft2d_slack', 56, 8, 'benchmark'):
-        "bd542210b2ce2fbd66841dc8502643cd3238f38d3622180abb605f0673f9ad10",
+        "4e6ed7103c6f603e631866b56372cf4782a95b7b842ceeba9a3675cb9dc370b8",
     ('fft2d_slack', 56, 8, 'round_robin'):
-        "bd542210b2ce2fbd66841dc8502643cd3238f38d3622180abb605f0673f9ad10",
+        "4e6ed7103c6f603e631866b56372cf4782a95b7b842ceeba9a3675cb9dc370b8",
     ('fft2d_slack', 56, 8, 'random1'):
-        "6a71ebdf51f00fc5f8efbfc024e9541600c871354ad41bf71d2056c96d60f33f",
+        "d932ac0c4bd23cbd56f7e173dbce84093a8078f94c008a1c258f9c6c1ff83449",
     ('fft2d_slack', 56, 8, 'random2'):
-        "240bd77ccc7b6965ec17bb3eed945641ad1a42053c0003446ce5998dc06f9108",
+        "ef7189a520490f5a4491ec95e1a32ba724eb1eed9d232427838ebe838cfcd775",
 }
 
 
