@@ -40,7 +40,6 @@ def fft2d_rank(
     iterations: int = 1,
     provider: Optional[MatrixProvider] = None,
     alltoall_algorithm: str = "pairwise",
-    fft_backend: str = "own",
     execute_data: bool = True,
     keep_result: bool = False,
 ):
@@ -66,7 +65,7 @@ def fft2d_rank(
         # --- local row FFTs ----------------------------------------------------
         yield from comm.compute(my_rows * fft_flops(n))
         if execute_data:
-            local = fft_rows(np.asarray(local), backend=fft_backend).astype("complex64")
+            local = fft_rows(np.asarray(local)).astype("complex64")
 
         # --- corner turn: pack column tiles, vendor all-to-all, unpack --------
         # Pack: one pass over the local block to build contiguous send tiles.
@@ -91,7 +90,7 @@ def fft2d_rank(
         yield from comm.compute(my_rows * fft_flops(n))
         if execute_data:
             local = (
-                fft_rows(np.ascontiguousarray(np.asarray(local).T), backend=fft_backend)
+                fft_rows(np.ascontiguousarray(np.asarray(local).T))
                 .T.astype("complex64")
             )
             local = np.ascontiguousarray(local)

@@ -5,15 +5,15 @@ AToT assigns the application tasks to the multi-processor, heterogeneous
 architecture."*
 
 A plain, reproducible integer-chromosome GA: tournament selection, uniform
-or one-point crossover, per-gene reset mutation, elitism, and a fitness
-cache.  Minimises the fitness function.
+crossover, per-gene reset mutation, elitism, and a fitness cache.
+Minimises the fitness function.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["GaConfig", "GaResult", "genetic_algorithm"]
 
@@ -22,28 +22,27 @@ Chromosome = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Hyper-parameters for one GA run."""
+    """Hyper-parameters for one GA run: ``population`` individuals evolved
+    for ``generations`` generations from the RNG ``seed``.  The operator
+    settings are class constants: no caller runs with other values."""
 
     population: int = 60
     generations: int = 80
-    tournament: int = 3
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.05
-    elitism: int = 2
-    crossover: str = "uniform"  # or "one_point"
     seed: int = 0
 
+    #: Individuals drawn per tournament selection.
+    tournament: ClassVar[int] = 3
+    #: Chance a child is a uniform crossover of its parents, not a copy.
+    crossover_rate: ClassVar[float] = 0.9
+    #: Per-gene chance of a reset to a random value.
+    mutation_rate: ClassVar[float] = 0.05
+    #: Best individuals carried into the next generation unchanged.
+    elitism: ClassVar[int] = 2
+
     def __post_init__(self):
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
-        if not (0 <= self.crossover_rate <= 1 and 0 <= self.mutation_rate <= 1):
-            raise ValueError("rates must be in [0, 1]")
-        if self.elitism >= self.population:
-            raise ValueError("elitism must be smaller than the population")
-        if self.crossover not in ("uniform", "one_point"):
-            raise ValueError(f"unknown crossover {self.crossover!r}")
-        if self.tournament < 1:
-            raise ValueError("tournament must be >= 1")
+        if self.population <= self.elitism:
+            raise ValueError(
+                f"population must exceed the elitism of {self.elitism}")
 
 
 @dataclass
@@ -105,9 +104,6 @@ def genetic_algorithm(
     def crossover(a: Chromosome, b: Chromosome) -> Chromosome:
         if rng.random() > config.crossover_rate or gene_count == 1:
             return a
-        if config.crossover == "one_point":
-            point = rng.randrange(1, gene_count)
-            return a[:point] + b[point:]
         return tuple(x if rng.random() < 0.5 else y for x, y in zip(a, b))
 
     def mutate(ch: Chromosome) -> Chromosome:

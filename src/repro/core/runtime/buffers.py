@@ -278,6 +278,9 @@ class RuntimeBuffer:
     def dst_region(self, thread: int) -> Region:
         return self._dst_regions[thread]
 
+    def src_shape(self, thread: int) -> Tuple[int, ...]:
+        return self._src_shapes[thread]
+
     def src_region_bytes(self, thread: int) -> int:
         return region_elems(self.src_region(thread)) * self.elem_bytes
 

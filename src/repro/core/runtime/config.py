@@ -54,9 +54,6 @@ class RuntimeConfig:
     execute_data:
         True: kernels run real numerics (correctness runs).  False: phantom
         payloads flow and only modeled time accrues (benchmark sweeps).
-    fft_backend:
-        ``"own"`` for the planned four-step kernel (``repro.kernels.fft``,
-        the ISSPL stand-in), ``"numpy"`` to delegate to ``numpy.fft``.
     max_in_flight:
         Data-set admission control: how many iterations may overlap in the
         pipeline (None = unbounded).  The §3.3 latency protocol uses 1 (the
@@ -74,7 +71,6 @@ class RuntimeConfig:
     striping_overhead_per_message: float = 4e-6
     compute_efficiency: float = 0.90
     execute_data: bool = True
-    fft_backend: str = "own"
     max_in_flight: int = 1
     #: Check that every processor's physical-buffer footprint fits its DRAM
     #: (64 MB on the §3.2 boards); raises MemoryError at load time otherwise.
@@ -89,8 +85,6 @@ class RuntimeConfig:
             raise ValueError(f"recv_staging must be one of {STAGING_POLICIES}")
         if not (0 < self.compute_efficiency <= 1.0):
             raise ValueError("compute_efficiency must be in (0, 1]")
-        if self.fft_backend not in ("own", "numpy"):
-            raise ValueError(f"unknown fft backend {self.fft_backend!r}")
         if self.max_in_flight is not None and self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1 or None")
 

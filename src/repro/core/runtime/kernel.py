@@ -425,8 +425,6 @@ class SageRuntime:
         policy = self.fault_policy
         config = HeartbeatConfig(
             period=policy.heartbeat_period,
-            miss_grace=policy.miss_grace,
-            threshold=policy.suspicion_threshold,
             # Gray-failure detection: adaptive grace windows learned from
             # observed heartbeat inter-arrivals plus an RTT probe stream
             # feeding the suspected_slow state (see docs/DETECTION.md).
@@ -950,13 +948,15 @@ class SageRuntime:
         fid = entry["id"]
         dicts = self._ctx_dicts.get((fid, thread))
         if dicts is None:
+            outs = self.out_buffers[fid]
             dicts = (
                 {buf.dst_port: buf.dst_region(thread) for buf in self.in_buffers[fid]},
-                {buf.src_port: buf.src_region(thread) for buf in self.out_buffers[fid]},
-                {buf.src_port: buf.dtype for buf in self.out_buffers[fid]},
+                {buf.src_port: buf.src_region(thread) for buf in outs},
+                {buf.src_port: buf.dtype for buf in outs},
+                {buf.src_port: buf.src_shape(thread) for buf in outs},
             )
             self._ctx_dicts[(fid, thread)] = dicts
-        in_regions, out_regions, out_dtypes = dicts
+        in_regions, out_regions, out_dtypes, out_shapes = dicts
         return ThreadContext(
             function_id=fid,
             name=entry["name"],
@@ -968,8 +968,8 @@ class SageRuntime:
             in_regions=in_regions,
             out_regions=out_regions,
             out_dtypes=out_dtypes,
+            out_shapes=out_shapes,
             execute_data=self.config.execute_data,
-            fft_backend=self.config.fft_backend,
             fetch_input=self._fetch_input,
             store_result=self._store_result,
         )

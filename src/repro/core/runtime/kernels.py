@@ -10,7 +10,7 @@ numeric work is skipped and phantom outputs of the correct shapes flow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -42,17 +42,17 @@ class ThreadContext:
     out_regions: Dict[str, tuple]
     #: port -> logical dtype string
     out_dtypes: Dict[str, str]
+    #: port -> shape of ``out_regions[port]``; the run-time fills it from its
+    #: buffers, contexts built only for cost models leave it empty
+    out_shapes: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
     execute_data: bool = True
-    fft_backend: str = "own"
     #: hook the runtime sets for matrix_source to pull the iteration's input
     fetch_input: Optional[Callable[[int], Any]] = None
     #: hook the runtime sets for matrix_sink to deposit results
     store_result: Optional[Callable[[int, Any], None]] = None
 
     def out_shape(self, port: str) -> Tuple[int, ...]:
-        from .striping import region_shape
-
-        return region_shape(self.out_regions[port])
+        return self.out_shapes[port]
 
     def phantom_out(self, port: str) -> PhantomArray:
         return PhantomArray(self.out_shape(port), self.out_dtypes[port])
@@ -161,7 +161,7 @@ def _run_fft_rows(ctx: ThreadContext, inputs: Dict[str, Any]) -> Dict[str, Any]:
     arr = np.asarray(data)
     if arr.ndim != 2:
         raise KernelError(f"{ctx.name}: fft_rows needs a 2-D block, got {arr.shape}")
-    return {out_port: _fft_rows_impl(arr, backend=ctx.fft_backend).astype(ctx.out_dtypes[out_port])}
+    return {out_port: _fft_rows_impl(arr).astype(ctx.out_dtypes[out_port])}
 
 
 def _run_fft_cols(ctx: ThreadContext, inputs: Dict[str, Any]) -> Dict[str, Any]:
@@ -172,7 +172,7 @@ def _run_fft_cols(ctx: ThreadContext, inputs: Dict[str, Any]) -> Dict[str, Any]:
     if arr.ndim != 2:
         raise KernelError(f"{ctx.name}: fft_cols needs a 2-D block, got {arr.shape}")
     # The kernel's one conversion copy also makes the transposed view dense.
-    out = _fft_rows_impl(arr.T, backend=ctx.fft_backend)
+    out = _fft_rows_impl(arr.T)
     return {out_port: out.T.astype(ctx.out_dtypes[out_port], order="C")}
 
 
@@ -183,7 +183,7 @@ def _run_ifft_rows(ctx: ThreadContext, inputs: Dict[str, Any]) -> Dict[str, Any]
     arr = np.asarray(data)
     if arr.ndim != 2:
         raise KernelError(f"{ctx.name}: ifft_rows needs a 2-D block")
-    return {out_port: _ifft_rows_impl(arr, backend=ctx.fft_backend).astype(ctx.out_dtypes[out_port])}
+    return {out_port: _ifft_rows_impl(arr).astype(ctx.out_dtypes[out_port])}
 
 
 def _run_ifft_cols(ctx: ThreadContext, inputs: Dict[str, Any]) -> Dict[str, Any]:
@@ -193,7 +193,7 @@ def _run_ifft_cols(ctx: ThreadContext, inputs: Dict[str, Any]) -> Dict[str, Any]
     arr = np.asarray(data)
     if arr.ndim != 2:
         raise KernelError(f"{ctx.name}: ifft_cols needs a 2-D block")
-    out = _ifft_rows_impl(arr.T, backend=ctx.fft_backend)
+    out = _ifft_rows_impl(arr.T)
     return {out_port: out.T.astype(ctx.out_dtypes[out_port], order="C")}
 
 
@@ -233,7 +233,7 @@ def _run_spectrum_multiply(ctx: ThreadContext, inputs: Dict[str, Any]) -> Dict[s
     )
     padded = np.zeros(shape, dtype=complex)
     padded[: kern.shape[0], : kern.shape[1]] = kern
-    spectrum = fft2d(padded, backend=ctx.fft_backend)
+    spectrum = fft2d(padded)
     (in_port,) = ctx.in_regions.keys()
     my_slice = spectrum[region_indexer(ctx.in_regions[in_port])]
     return {out_port: (arr * my_slice).astype(ctx.out_dtypes[out_port])}

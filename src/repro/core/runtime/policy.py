@@ -49,6 +49,9 @@ run-time therefore executes under one of six :class:`FaultPolicy` modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
+
+from ...mpi.detector import HeartbeatConfig
 
 __all__ = ["FaultPolicy", "FAIL_FAST", "TransportError", "POLICY_MODES"]
 
@@ -75,147 +78,85 @@ class FaultPolicy:
     max_retries:
         Per-operation re-transmissions / kernel re-invocations (modes
         ``retry`` and ``checkpoint_restart``).
-    backoff / backoff_factor:
-        First retry delay in virtual seconds and its exponential growth.
     max_restarts:
         Iteration replays allowed per run (checkpointing modes) before the
         underlying fault is re-raised.
-    heartbeat_period / miss_grace / suspicion_threshold:
-        ``shrink_restripe`` only — the knobs of the
-        :class:`~repro.mpi.detector.HeartbeatConfig` the run-time starts:
-        seconds between heartbeats, silence (in periods) counted as a miss,
-        and consecutive misses before a node is declared dead.
     backoff_jitter:
         Fraction in [0, 1): every runtime retry backoff sleep is scaled by
         a seeded uniform draw from ``[1 - jitter, 1 + jitter]``, so many
         ranks retrying the same burned transfer desynchronise instead of
         re-colliding.  0 (the default) draws nothing — byte-identical to
         the legacy backoff.
-    adaptive_detection:
-        When True the detector runs with adaptive (phi-accrual-style)
-        grace windows and RTT probing — required for ``suspect_slow``
-        signals; implied by ``migrate_stragglers``.
-    rtt_probe_every:
-        Detector RTT-probe cadence, in heartbeat periods (adaptive modes).
-    straggler_factor:
-        A node whose per-iteration busy time exceeds this multiple of the
-        median across thread-holding nodes counts one straggler strike.
-    straggler_patience:
-        Consecutive strikes before the node is drained
-        (``migrate_stragglers`` only).
-    straggler_probation:
-        Consecutive iteration boundaries with a clear ``suspect_slow``
-        state before a drained node earns its threads back.
+
+    The class constants below are fixed: no caller runs with other values.
     """
 
     mode: str = "fail_fast"
     max_retries: int = 0
-    backoff: float = 1e-4
-    backoff_factor: float = 2.0
     max_restarts: int = 3
-    heartbeat_period: float = 1e-4
-    miss_grace: float = 2.5
-    suspicion_threshold: int = 3
     backoff_jitter: float = 0.0
-    adaptive_detection: bool = False
-    rtt_probe_every: int = 4
-    straggler_factor: float = 2.0
-    straggler_patience: int = 2
-    straggler_probation: int = 2
+
+    #: First retry delay in virtual seconds, and its exponential growth.
+    backoff: ClassVar[float] = 1e-4
+    backoff_factor: ClassVar[float] = 2.0
+    #: The heartbeat detector the re-striping modes start: seconds between
+    #: heartbeats, and the detector's own silence grace (in periods) and
+    #: consecutive misses before a node is declared dead.
+    heartbeat_period: ClassVar[float] = 1e-4
+    miss_grace: ClassVar[float] = HeartbeatConfig.miss_grace
+    suspicion_threshold: ClassVar[int] = HeartbeatConfig.threshold
+    #: Detector RTT-probe cadence, in heartbeat periods (adaptive modes).
+    rtt_probe_every: ClassVar[int] = 4
+    #: A node whose per-iteration busy time exceeds this multiple of the
+    #: median across thread-holding nodes counts one straggler strike.
+    straggler_factor: ClassVar[float] = 2.0
+    #: Consecutive strikes before the node is drained
+    #: (``migrate_stragglers`` only).
+    straggler_patience: ClassVar[int] = 2
+    #: Consecutive iteration boundaries with a clear ``suspect_slow``
+    #: state before a drained node earns its threads back.
+    straggler_probation: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.mode not in POLICY_MODES:
             raise ValueError(f"mode must be one of {POLICY_MODES}, got {self.mode!r}")
         if self.max_retries < 0 or self.max_restarts < 0:
             raise ValueError("max_retries and max_restarts must be >= 0")
-        if self.backoff < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff must be >= 0 and backoff_factor >= 1")
-        if self.heartbeat_period <= 0:
-            raise ValueError("heartbeat_period must be positive")
-        if self.miss_grace < 1:
-            raise ValueError("miss_grace must be >= 1")
-        if self.suspicion_threshold < 1:
-            raise ValueError("suspicion_threshold must be >= 1")
         if not (0 <= self.backoff_jitter < 1):
             raise ValueError("backoff_jitter must be in [0, 1)")
-        if self.rtt_probe_every < 1:
-            raise ValueError("rtt_probe_every must be >= 1")
-        if self.straggler_factor <= 1:
-            raise ValueError("straggler_factor must be > 1")
-        if self.straggler_patience < 1 or self.straggler_probation < 1:
-            raise ValueError(
-                "straggler_patience and straggler_probation must be >= 1"
-            )
 
     # -- constructors ----------------------------------------------------
+    # Each takes the fields above by keyword; only the mode and the
+    # max_retries default differ.
     @classmethod
-    def fail_fast(cls) -> "FaultPolicy":
+    def fail_fast(cls, **fields) -> "FaultPolicy":
         """Abort on the first fault (the default)."""
-        return cls()
+        return cls(mode="fail_fast", **fields)
 
     @classmethod
-    def retry(cls, max_retries: int = 3, backoff: float = 1e-4,
-              backoff_factor: float = 2.0) -> "FaultPolicy":
-        """Retry transient faults in place; crashes still abort."""
-        return cls(mode="retry", max_retries=max_retries, backoff=backoff,
-                   backoff_factor=backoff_factor)
+    def retry(cls, **fields) -> "FaultPolicy":
+        """Retry transient faults in place (3 retries); crashes still abort."""
+        return cls(mode="retry", **{"max_retries": 3, **fields})
 
     @classmethod
-    def checkpoint_restart(cls, max_restarts: int = 3, max_retries: int = 2,
-                           backoff: float = 1e-4,
-                           backoff_factor: float = 2.0) -> "FaultPolicy":
+    def checkpoint_restart(cls, **fields) -> "FaultPolicy":
         """Snapshot at iteration boundaries; replay after recoverable faults."""
-        return cls(mode="checkpoint_restart", max_restarts=max_restarts,
-                   max_retries=max_retries, backoff=backoff,
-                   backoff_factor=backoff_factor)
+        return cls(mode="checkpoint_restart", **{"max_retries": 2, **fields})
 
     @classmethod
-    def shrink_restripe(cls, max_restarts: int = 3, max_retries: int = 2,
-                        backoff: float = 1e-4, backoff_factor: float = 2.0,
-                        heartbeat_period: float = 1e-4, miss_grace: float = 2.5,
-                        suspicion_threshold: int = 3) -> "FaultPolicy":
+    def shrink_restripe(cls, **fields) -> "FaultPolicy":
         """Checkpoint/replay plus shrinking recovery from permanent loss."""
-        return cls(mode="shrink_restripe", max_restarts=max_restarts,
-                   max_retries=max_retries, backoff=backoff,
-                   backoff_factor=backoff_factor,
-                   heartbeat_period=heartbeat_period, miss_grace=miss_grace,
-                   suspicion_threshold=suspicion_threshold)
+        return cls(mode="shrink_restripe", **{"max_retries": 2, **fields})
 
     @classmethod
-    def grow_restripe(cls, max_restarts: int = 3, max_retries: int = 2,
-                      backoff: float = 1e-4, backoff_factor: float = 2.0,
-                      heartbeat_period: float = 1e-4, miss_grace: float = 2.5,
-                      suspicion_threshold: int = 3) -> "FaultPolicy":
+    def grow_restripe(cls, **fields) -> "FaultPolicy":
         """Shrinking recovery plus automatic re-absorption of replacements."""
-        return cls(mode="grow_restripe", max_restarts=max_restarts,
-                   max_retries=max_retries, backoff=backoff,
-                   backoff_factor=backoff_factor,
-                   heartbeat_period=heartbeat_period, miss_grace=miss_grace,
-                   suspicion_threshold=suspicion_threshold)
+        return cls(mode="grow_restripe", **{"max_retries": 2, **fields})
 
     @classmethod
-    def migrate_stragglers(cls, max_restarts: int = 3, max_retries: int = 2,
-                           backoff: float = 1e-4, backoff_factor: float = 2.0,
-                           heartbeat_period: float = 1e-4,
-                           miss_grace: float = 2.5,
-                           suspicion_threshold: int = 3,
-                           backoff_jitter: float = 0.0,
-                           rtt_probe_every: int = 4,
-                           straggler_factor: float = 2.0,
-                           straggler_patience: int = 2,
-                           straggler_probation: int = 2) -> "FaultPolicy":
+    def migrate_stragglers(cls, **fields) -> "FaultPolicy":
         """Elastic recovery plus gray-failure drain/restore of stragglers."""
-        return cls(mode="migrate_stragglers", max_restarts=max_restarts,
-                   max_retries=max_retries, backoff=backoff,
-                   backoff_factor=backoff_factor,
-                   heartbeat_period=heartbeat_period, miss_grace=miss_grace,
-                   suspicion_threshold=suspicion_threshold,
-                   backoff_jitter=backoff_jitter,
-                   adaptive_detection=True,
-                   rtt_probe_every=rtt_probe_every,
-                   straggler_factor=straggler_factor,
-                   straggler_patience=straggler_patience,
-                   straggler_probation=straggler_probation)
+        return cls(mode="migrate_stragglers", **{"max_retries": 2, **fields})
 
     @classmethod
     def named(cls, name: str, **overrides) -> "FaultPolicy":
@@ -230,6 +171,12 @@ class FaultPolicy:
                 f"unknown fault policy {name!r}; choose from {POLICY_MODES}"
             )
         return getattr(cls, name)(**overrides)
+
+    @property
+    def adaptive_detection(self) -> bool:
+        """True when the detector runs adaptive (phi-accrual-style) grace
+        windows and RTT probing, which ``suspect_slow`` signals need."""
+        return self.mode == "migrate_stragglers"
 
     @property
     def retries_transfers(self) -> bool:

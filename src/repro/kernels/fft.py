@@ -17,7 +17,7 @@ transposing copy into natural order, ping-ponging between the result and
 one scratch array: no bit-reversal, no per-call ``exp``.  Arithmetic is
 complex128; on unit-normal input the result is within 4e-14 of
 ``numpy.fft`` at 256 points and 3e-13 at 4096.  ``numpy.fft`` is the test
-suite's oracle and a backend of its own, never called by this one.
+suite's oracle, never called here.
 """
 
 from __future__ import annotations
@@ -99,12 +99,8 @@ def _cols(plan: _Plan, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transform(x: np.ndarray, inverse: bool, backend: str = "own") -> np.ndarray:
+def _transform(x: np.ndarray, inverse: bool) -> np.ndarray:
     """FFT along the last axis of a 2-D array (power-of-two length)."""
-    if backend == "numpy":
-        return (np.fft.ifft if inverse else np.fft.fft)(x, axis=1)
-    if backend != "own":
-        raise ValueError(f"unknown backend {backend!r}")
     n = x.shape[1]
     if n <= 0 or n & (n - 1):
         raise ValueError(f"FFT length must be a positive power of two, got {n}")
@@ -128,40 +124,37 @@ def ifft(x: np.ndarray) -> np.ndarray:
     return _transform(_checked(x, 1, "ifft")[np.newaxis, :], inverse=True)[0]
 
 
-def fft_rows(x: np.ndarray, backend: str = "own") -> np.ndarray:
+def fft_rows(x: np.ndarray) -> np.ndarray:
     """FFT every row of a 2-D array.
 
-    ``backend='own'`` (the default, and what the correctness tests exercise)
-    runs the planned four-step kernel above and returns C-contiguous
+    Runs the planned four-step kernel above and returns C-contiguous
     complex128: the first call for a row length builds its plan, later calls
     reuse it, and any input dtype or strides cost one fused conversion copy.
     It agrees with ``numpy.fft`` to about 4e-14 at 256 points.
-    ``backend='numpy'`` delegates to ``numpy.fft.fft`` — the modeled cost
-    charged by the simulator is identical either way.
     """
-    return _transform(_checked(x, 2, "fft_rows"), inverse=False, backend=backend)
+    return _transform(_checked(x, 2, "fft_rows"), inverse=False)
 
 
-def ifft_rows(x: np.ndarray, backend: str = "own") -> np.ndarray:
+def ifft_rows(x: np.ndarray) -> np.ndarray:
     """Inverse FFT of every row of a 2-D array."""
-    return _transform(_checked(x, 2, "ifft_rows"), inverse=True, backend=backend)
+    return _transform(_checked(x, 2, "ifft_rows"), inverse=True)
 
 
-def _row_col(x: np.ndarray, inverse: bool, backend: str) -> np.ndarray:
+def _row_col(x: np.ndarray, inverse: bool) -> np.ndarray:
     # The turned view is free: the column pass's conversion copies it.
-    turned = _transform(x, inverse, backend).T
-    return np.ascontiguousarray(_transform(turned, inverse, backend).T)
+    turned = _transform(x, inverse).T
+    return np.ascontiguousarray(_transform(turned, inverse).T)
 
 
-def fft2d(x: np.ndarray, backend: str = "own") -> np.ndarray:
+def fft2d(x: np.ndarray) -> np.ndarray:
     """Full 2-D FFT: row pass, transpose (corner turn), column-as-row pass.
 
     Mirrors the distributed algorithm's structure exactly so the single-node
     reference and the parallel version are the same arithmetic.
     """
-    return _row_col(_checked(x, 2, "fft2d"), inverse=False, backend=backend)
+    return _row_col(_checked(x, 2, "fft2d"), inverse=False)
 
 
-def ifft2d(x: np.ndarray, backend: str = "own") -> np.ndarray:
+def ifft2d(x: np.ndarray) -> np.ndarray:
     """Inverse 2-D FFT (row pass, corner turn, column pass)."""
-    return _row_col(_checked(x, 2, "ifft2d"), inverse=True, backend=backend)
+    return _row_col(_checked(x, 2, "ifft2d"), inverse=True)

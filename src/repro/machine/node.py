@@ -129,10 +129,13 @@ class SimNode:
         Used when replacement hardware is slotted in at this node's index: a
         crash can strand CPU slots held by interrupted work and buffer
         accounting from the dead program, neither of which the new board
-        inherits.  Returns the number of stranded CPU slots/queued requests
-        that were dropped.
+        inherits.  The old CPU resource is retired, not reset: its queued
+        requests fail, and a hold that outlives the reset releases there,
+        never on the new board's fresh resource.  Returns the number of
+        stranded CPU slots/queued requests.
         """
-        dropped = self.cpu.reset()
+        dropped = self.cpu.retire()
+        self.cpu = Resource(self.env, capacity=1)
         self._allocated = 0
         return dropped
 

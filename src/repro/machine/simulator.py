@@ -652,22 +652,29 @@ class Resource:
         except ValueError:
             pass
 
-    def reset(self) -> int:
-        """Forcibly return the resource to its idle state.
+    def retire(self) -> int:
+        """Take the resource out of service when the hardware behind it is
+        removed (a node pulled mid-transfer, its slot refilled).
 
-        Used when the hardware behind the resource is removed (a node pulled
-        mid-transfer): holders never release, and queued requests belong to
-        processes that are being torn down.  Pending waiter events fail with
-        :class:`SimulationError` so any still-live requester surfaces the
-        removal instead of deadlocking.  Returns the number of slots and
-        queued requests that were dropped, for diagnostics.
+        Queued requests belong to processes that are being torn down: they
+        fail with :class:`SimulationError` so any still-live requester
+        surfaces the removal instead of deadlocking.  Holders keep their
+        slots, so a hold that outlives the removal releases here, where it
+        was granted.  Returns the number of slots and queued requests that
+        were stranded, for diagnostics.
         """
         dropped = self._in_use + len(self._waiters)
-        self._in_use = 0
         waiters, self._waiters = self._waiters, deque()
         for ev in waiters:
             if not ev.triggered:
                 ev.fail(SimulationError("resource reset: node removed"))
+        return dropped
+
+    def reset(self) -> int:
+        """:meth:`retire`, then return the resource to its idle state: the
+        slots of the holders are forgotten, not released."""
+        dropped = self.retire()
+        self._in_use = 0
         return dropped
 
     def use(self, duration: float):

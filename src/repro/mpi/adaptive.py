@@ -28,8 +28,8 @@ __all__ = ["RttEstimator"]
 class RttEstimator:
     """EWMA mean + mean-deviation estimator (Jacobson/Karels).
 
-    ``alpha`` weights the mean update, ``beta`` the deviation update; the
-    TCP defaults (1/8 and 1/4) are kept.  The first sample initialises the
+    ``alpha`` weights the mean update, ``beta`` the deviation update; both
+    are the TCP constants (1/8 and 1/4).  The first sample initialises the
     mean exactly (dev = sample / 2, as in RFC 6298).
 
     The estimator also keeps a decaying *peak* watermark: the largest
@@ -41,8 +41,10 @@ class RttEstimator:
     treats any gap the channel has already survived once as survivable.
     """
 
-    __slots__ = ("mean", "dev", "peak", "samples", "alpha", "beta",
-                 "peak_decay")
+    __slots__ = ("mean", "dev", "peak", "samples", "peak_decay")
+
+    alpha = 0.125
+    beta = 0.25
 
     #: Default per-sample decay of the peak watermark toward the mean.
     #: 1/32 keeps a spike relevant for roughly a hundred samples — long
@@ -52,16 +54,11 @@ class RttEstimator:
     #: and a pool sees ``m`` samples in the time one stream sees one.
     PEAK_DECAY = 1.0 / 32.0
 
-    def __init__(self, alpha: float = 0.125, beta: float = 0.25,
-                 peak_decay: Optional[float] = None):
-        if not (0 < alpha <= 1) or not (0 < beta <= 1):
-            raise ValueError("alpha and beta must be in (0, 1]")
+    def __init__(self, peak_decay: Optional[float] = None):
         if peak_decay is None:
             peak_decay = self.PEAK_DECAY
         if not (0 < peak_decay <= 1):
             raise ValueError("peak_decay must be in (0, 1]")
-        self.alpha = alpha
-        self.beta = beta
         self.peak_decay = peak_decay
         self.mean = 0.0
         self.dev = 0.0

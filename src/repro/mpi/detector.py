@@ -14,9 +14,12 @@ an oracle, marks a rank dead.  :class:`FailureDetector` is that service:
   congestion alone can never starve the detector into a false positive.
 * **Silence check** — on the same tick, right after sending, each node
   checks how long each peer has been silent.  Silence beyond ``miss_grace``
-  periods increments a suspicion counter (a ``suspect`` event on the first
-  miss); ``threshold`` consecutive misses declare the peer dead
-  (``declare_dead``).  Any heartbeat resets the counter.
+  (2.5) periods increments a suspicion counter (a ``suspect`` event on the
+  first miss); ``threshold`` (3) consecutive misses declare the peer dead
+  (``declare_dead``).  Any heartbeat resets the counter.  These and the
+  other detector constants are class constants of :class:`HeartbeatConfig`,
+  whose only settable values are ``period``, ``adaptive`` and
+  ``rtt_probe_every``.
 * **Gossip** — each ping piggybacks the sender's set of declared-dead ranks.
   A receiver adopts a gossiped death only when its own silence corroborates
   it (no heartbeat from the accused within the grace window), so a partition
@@ -38,14 +41,14 @@ experiment).
   observer's view gains (or resets) the rank, its detector processes start,
   and its death event re-arms.  Announces and acks pay real wire time
   and are subject to the same loss model as heartbeats, so the joiner
-  retries each admission window until acked (``join_announce`` / ``admit``
-  events; see ``docs/ELASTICITY.md``).
+  retries each admission window until acked, at most 8 times
+  (``join_announce`` / ``admit`` events; see ``docs/ELASTICITY.md``).
 
 * **Adaptive suspicion (gray failures)** — with ``adaptive=True`` the grace
   window is no longer the fixed ``miss_grace * period``: each observer keeps
   a Jacobson/Karels estimator of every peer's heartbeat *inter-arrival*
   time, and silence is judged against ``mean + phi * dev`` (clamped between
-  the configured grace and ``max_grace_periods``).  A degraded or jittery
+  the fixed grace and ``max_grace_periods``).  A degraded or jittery
   link stretches the observed intervals, the grace stretches with them, and
   the detector stops false-positiving — the phi-accrual idea.
 * **RTT probes / suspected_slow** — with ``rtt_probe_every > 0`` each rank
@@ -79,7 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..machine.cluster import SimCluster
 from ..machine.simulator import CallbackProcess, Environment, Event, Timer
@@ -103,16 +106,6 @@ class HeartbeatConfig:
     period:
         Virtual seconds between heartbeat rounds (emit and monitor both tick
         at this rate).
-    miss_grace:
-        Silence longer than ``miss_grace * period`` counts as a missed
-        heartbeat (values > 1 absorb wire time and tick skew).
-    threshold:
-        Consecutive missed-heartbeat ticks before a peer is declared dead.
-        Expected detection latency after a crash is roughly
-        ``(miss_grace + threshold) * period``; raising it trades latency for
-        robustness to message loss.
-    ping_bytes:
-        Modelled heartbeat payload size (charges the link bandwidth term).
     adaptive:
         When True, the silence grace per peer is derived from the observed
         heartbeat inter-arrival estimate (``mean + phi * dev``) instead of
@@ -120,75 +113,60 @@ class HeartbeatConfig:
         the grace instead of tripping it.  The fixed grace stays the floor
         and ``max_grace_periods * period`` the ceiling.  Off by default:
         legacy configs behave byte-identically.
-    phi:
-        Deviation multiplier for the adaptive grace (Jacobson's k=4).
-    peak_margin:
-        Adaptive-grace floor as a multiple of the peer's decaying *peak*
-        inter-arrival gap.  ``mean + phi * dev`` converges back toward the
-        per-sample jitter under random loss, but loss *streaks* recur: a
-        gap the channel has already survived once must not read as death
-        the next time.  Values > 1 leave headroom above the worst observed
-        gap.
-    max_grace_periods:
-        Upper clamp of the adaptive grace, in periods — a limping-but-alive
-        peer can stretch patience only so far before real suspicion.
     rtt_probe_every:
         Every ``rtt_probe_every`` periods each rank round-trips an RTT
         probe to one live peer (round-robin); the ack charges ``probe_cpu``
         seconds on the target's (possibly limping, possibly contended)
         CPU.  0 disables probing — the default, so legacy runs schedule no
         new events.
-    probe_cpu:
-        CPU seconds a target spends producing a probe ack.  This is what
-        makes a ``slow_node`` visible: its ack is stretched by 1/cpu_factor
-        and queues behind its (slower) application work.
-    slow_factor:
-        A probe ack whose measured service time exceeds ``slow_factor ×``
-        the nominal ``probe_cpu`` cost counts as a slow sample.
-    slow_threshold:
-        Consecutive slow samples (pooled across observers) before
-        ``suspect_slow`` is raised.
-    slow_clear_threshold:
-        Consecutive normal samples (pooled) before a slow suspicion clears.
+
+    The class constants below are fixed: no caller runs with other values.
     """
 
     period: float = 1e-4
-    miss_grace: float = 2.5
-    threshold: int = 3
-    ping_bytes: int = 32
     adaptive: bool = False
-    phi: float = 4.0
-    peak_margin: float = 2.0
-    max_grace_periods: float = 20.0
     rtt_probe_every: int = 0
-    probe_cpu: float = 5e-6
-    slow_factor: float = 3.0
-    slow_threshold: int = 3
-    slow_clear_threshold: int = 2
+
+    #: Silence longer than ``miss_grace * period`` counts as a missed
+    #: heartbeat (values > 1 absorb wire time and tick skew).
+    miss_grace: ClassVar[float] = 2.5
+    #: Consecutive missed-heartbeat ticks before a peer is declared dead.
+    #: Expected detection latency after a crash is roughly
+    #: ``(miss_grace + threshold) * period``; a higher value trades latency
+    #: for robustness to message loss.
+    threshold: ClassVar[int] = 3
+    #: Modelled heartbeat payload size (charges the link bandwidth term).
+    ping_bytes: ClassVar[int] = 32
+    #: Deviation multiplier for the adaptive grace (Jacobson's k=4).
+    phi: ClassVar[float] = 4.0
+    #: Adaptive-grace floor as a multiple of the peer's decaying *peak*
+    #: inter-arrival gap.  ``mean + phi * dev`` converges back toward the
+    #: per-sample jitter under random loss, but loss *streaks* recur: a
+    #: gap the channel has already survived once must not read as death
+    #: the next time.  Values > 1 leave headroom above the worst observed
+    #: gap.
+    peak_margin: ClassVar[float] = 2.0
+    #: Upper clamp of the adaptive grace, in periods — a limping-but-alive
+    #: peer can stretch patience only so far before real suspicion.
+    max_grace_periods: ClassVar[float] = 20.0
+    #: CPU seconds a target spends producing a probe ack.  This is what
+    #: makes a ``slow_node`` visible: its ack is stretched by 1/cpu_factor
+    #: and queues behind its (slower) application work.
+    probe_cpu: ClassVar[float] = 5e-6
+    #: A probe ack whose measured service time exceeds ``slow_factor ×``
+    #: the nominal ``probe_cpu`` cost counts as a slow sample.
+    slow_factor: ClassVar[float] = 3.0
+    #: Consecutive slow samples (pooled across observers) before
+    #: ``suspect_slow`` is raised.
+    slow_threshold: ClassVar[int] = 3
+    #: Consecutive normal samples (pooled) before a slow suspicion clears.
+    slow_clear_threshold: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError("heartbeat period must be positive")
-        if self.miss_grace < 1:
-            raise ValueError("miss_grace must be >= 1 period")
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if self.ping_bytes < 0:
-            raise ValueError("ping_bytes must be non-negative")
-        if self.phi < 0:
-            raise ValueError("phi must be non-negative")
-        if self.peak_margin < 1:
-            raise ValueError("peak_margin must be >= 1")
-        if self.max_grace_periods < self.miss_grace:
-            raise ValueError("max_grace_periods must be >= miss_grace")
         if self.rtt_probe_every < 0:
             raise ValueError("rtt_probe_every must be >= 0 (0 disables)")
-        if self.probe_cpu < 0:
-            raise ValueError("probe_cpu must be non-negative")
-        if self.slow_factor <= 1:
-            raise ValueError("slow_factor must be > 1")
-        if self.slow_threshold < 1 or self.slow_clear_threshold < 1:
-            raise ValueError("slow thresholds must be >= 1")
 
     @property
     def window(self) -> float:
@@ -240,6 +218,10 @@ class FailureDetector:
     kernel's ``shrink_restripe`` and ``grow_restripe`` policies build on
     this service.
     """
+
+    #: Admission windows a joiner announces itself in before giving up
+    #: (:meth:`request_join`).
+    _JOIN_ATTEMPTS: ClassVar[int] = 8
 
     def __init__(self, cluster: SimCluster,
                  config: Optional[HeartbeatConfig] = None,
@@ -404,7 +386,7 @@ class FailureDetector:
                 self._launch(target)
 
     # -- join / admission protocol -----------------------------------------
-    def request_join(self, rank: int, max_attempts: int = 8) -> Event:
+    def request_join(self, rank: int) -> Event:
         """Run the admission handshake for ``rank``; returns its join event.
 
         The joiner announces itself to every known rank over the out-of-band
@@ -413,7 +395,7 @@ class FailureDetector:
         acks, and the ack's arrival absorbs the rank into the membership.
         The returned event fires with ``(time, coordinator)`` at absorption.
         Announces are retried every admission window (``config.window``) up
-        to ``max_attempts`` times, so a lossy fabric delays admission rather
+        to ``_JOIN_ATTEMPTS`` (8) times, so a lossy fabric delays admission rather
         than wedging it.  Re-joining a previously-declared-dead rank resets
         every observer's opinion of it (replacement hardware at the same
         index); a rank beyond the current membership is appended and peers
@@ -434,7 +416,7 @@ class FailureDetector:
         self._announce_seen = {
             pair for pair in self._announce_seen if pair[1] != rank
         }
-        self._join(rank, max_attempts)
+        self._join(rank, self._JOIN_ATTEMPTS)
         return ev
 
     def admitted(self, rank: int) -> Optional[Tuple[float, int]]:

@@ -31,10 +31,6 @@ class TestConfig:
     def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError):
             HeartbeatConfig(period=0)
-        with pytest.raises(ValueError):
-            HeartbeatConfig(miss_grace=0.5)
-        with pytest.raises(ValueError):
-            HeartbeatConfig(threshold=0)
 
     def test_needs_two_ranks(self):
         env = Environment()
@@ -114,8 +110,7 @@ class TestFalsePositives:
     def test_heavy_loss_can_cause_false_positives(self):
         """The detector is honest: a lossy-enough fabric silences live ranks."""
         plan = FaultPlan(seed=3).message_loss(0.5)
-        env, det = make_detector(3, plan=plan,
-                                 config=HeartbeatConfig(threshold=2))
+        env, det = make_detector(3, plan=plan)
         det.start()
         env.run(until=400 * det.config.period)
         assert det.declared_dead()  # wrongly, by construction: nobody crashed

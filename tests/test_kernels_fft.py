@@ -93,17 +93,6 @@ class TestFftRows:
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         np.testing.assert_allclose(fft_rows(x), np.fft.fft(x, axis=1), atol=1e-9)
 
-    def test_numpy_backend_agrees_with_own(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(8, 64)) + 1j * rng.normal(size=(8, 64))
-        np.testing.assert_allclose(
-            fft_rows(x, backend="own"), fft_rows(x, backend="numpy"), atol=1e-9
-        )
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            fft_rows(np.zeros((2, 4)), backend="fftw")
-
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             fft_rows(np.zeros(8))

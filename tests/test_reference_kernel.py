@@ -96,7 +96,7 @@ def _run(cls, case):
                          num_processors=case.nodes)
     plan, policy = _plan(case.faults, case.nodes, case.victim, case.at, case.seed)
     if case.flaky and policy is None:
-        policy = FaultPolicy.retry(max_retries=2, backoff=5e-5)
+        policy = FaultPolicy.retry(max_retries=2)
     env = Environment()
     cluster = SimCluster.from_platform(env, get_platform("cspi"), case.nodes,
                                        fault_plan=plan)

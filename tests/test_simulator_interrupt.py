@@ -19,6 +19,7 @@ that matter:
 ``Resource.use`` (the test oracles' processes, see ``killable_process.py``).
 """
 
+from repro.machine import SimCluster, cspi
 from repro.machine.simulator import (
     AnyOf,
     CallbackProcess,
@@ -150,6 +151,36 @@ class TestCallbackCancel:
         assert proc.done.value == 5.0
         assert env.events_processed == events + 1  # the kick, nothing else
         assert res.count == 0
+
+
+class TestNodeReplacedUnderAHolder:
+    """``SimCluster.add_node`` on an existing index resets the node while a
+    process may hold its CPU.  The holder's release must land on the CPU it
+    was granted, not on the replacement's."""
+
+    @staticmethod
+    def _replaced_at(when):
+        env = Environment()
+        cluster = SimCluster.from_platform(env, cspi(), 2)
+        old = Holder(env, (cluster.node(1).cpu,), 5)
+        _at(env, when, lambda: cluster.add_node(index=1))
+        return env, cluster, old
+
+    def test_holder_outliving_the_reset_of_an_idle_node(self):
+        env, cluster, old = self._replaced_at(1)
+        env.run()
+        assert old.done.value == 5.0
+        assert cluster.node(1).cpu.count == 0
+
+    def test_holder_release_does_not_free_a_later_grant(self):
+        env, cluster, old = self._replaced_at(1)
+        _at(env, 1, lambda: Holder(env, (cluster.node(1).cpu,), 10))
+        env.run(until=6)  # the old hold elapsed at t=5
+        assert old.done.value == 5.0
+        assert cluster.node(1).cpu.count == 1  # the new holder's slot
+        late = Holder(env, (cluster.node(1).cpu,), 1)
+        env.run()
+        assert late.done.value == 12.0  # queued behind the new holder to t=11
 
 
 class TestReleaseOrder:
