@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from ...perf.cache import named_cache
 from .errors import AlterSyntaxError
 from .lexer import tokenize
 
@@ -20,6 +21,9 @@ __all__ = [
 #: the linter recurse once or more per level, so deeper input is refused here
 #: as a syntax error rather than overflowing the Python stack later.
 MAX_DEPTH = 256
+
+#: source text -> parsed program, for :func:`parse_cached`.
+_PARSE_CACHE = named_cache("alter.parse", maxsize=256)
 
 
 class Symbol(str):
@@ -45,11 +49,7 @@ def parse_cached(source: str) -> List[Any]:
     never rewrite them), which is what makes sharing safe; callers that
     mutate ASTs must use :func:`parse`.
     """
-    from ...perf.cache import named_cache
-
-    return named_cache("alter.parse", maxsize=256).get(
-        source, lambda: parse(source)
-    )
+    return _PARSE_CACHE.get(source, lambda: parse(source))
 
 
 def parse_with_locations(source: str) -> Tuple[List[Any], Dict[int, Tuple[int, int]]]:

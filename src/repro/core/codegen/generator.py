@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...perf.cache import named_cache
 from ..alter import Interpreter
@@ -84,19 +84,19 @@ class GlueModule:
             fh.write(self.source)
 
 
-#: fingerprint -> generated (and analysis-approved) glue source text.  The
-#: namespace is still exec'd fresh per call: the run-time mutates its tables.
+#: fingerprint -> (generated and analysis-approved glue source, its compiled
+#: code).  The namespace is still exec'd fresh per call: the run-time
+#: mutates its tables.
 _GLUE_CACHE = named_cache("codegen.glue_source", maxsize=128)
-#: source text -> compiled code object (compilation dominates re-exec cost).
-_CODE_CACHE = named_cache("codegen.glue_code", maxsize=128)
 
 
 def load_glue_source(source: str) -> Dict[str, Any]:
     """Exec generated glue source into a fresh namespace and sanity-check it."""
+    return _exec_glue(compile(source, filename="<sage-glue>", mode="exec"))
+
+
+def _exec_glue(code) -> Dict[str, Any]:
     namespace: Dict[str, Any] = {}
-    code = _CODE_CACHE.get(
-        source, lambda: compile(source, filename="<sage-glue>", mode="exec")
-    )
     exec(code, namespace)  # noqa: S102 - the point of a code generator
     missing = [g for g in _REQUIRED_GLOBALS if g not in namespace]
     if missing:
@@ -168,13 +168,14 @@ def generate_glue(
 
     Caching
     -------
-    Generation (validation, static analysis, Alter execution) is memoized on
-    a content fingerprint of every input (:func:`glue_fingerprint`) plus the
-    ``validate``/``analyze`` flags: a hit means this exact model/mapping
-    already generated — and, when analysis was requested, already passed the
-    Verifier — so the cached source is reused.  The namespace is *always*
-    exec'd fresh, because the run-time treats its tables as private mutable
-    state.  ``repro.perf.cache.clear_all_caches()`` invalidates explicitly.
+    Generation (validation, static analysis, Alter execution, compilation)
+    is memoized on a content fingerprint of every input
+    (:func:`glue_fingerprint`) plus the ``validate``/``analyze`` flags: a hit
+    means this exact model/mapping already generated — and, when analysis
+    was requested, already passed the Verifier — so the cached source and
+    its compiled code are reused.  The namespace is *always* exec'd fresh,
+    because the run-time treats its tables as private mutable state.
+    ``repro.perf.cache.clear_all_caches()`` invalidates explicitly.
     """
     key = (
         glue_fingerprint(app, mapping, num_processors, optimize_buffers,
@@ -182,12 +183,24 @@ def generate_glue(
         bool(validate),
         bool(analyze),
     )
-    source = _GLUE_CACHE.lookup(key)
-    if source is not None:
-        namespace = load_glue_source(source)
-        _cross_check(app, namespace)
-        return GlueModule(model_name=app.name, source=source, namespace=namespace)
+    source, code = _GLUE_CACHE.get(key, lambda: _generate(
+        app, mapping, num_processors, optimize_buffers, validate, analyze,
+        extra_scripts))
+    namespace = _exec_glue(code)
+    _cross_check(app, namespace)
+    return GlueModule(model_name=app.name, source=source, namespace=namespace)
 
+
+def _generate(
+    app: ApplicationModel,
+    mapping: Mapping,
+    num_processors: int,
+    optimize_buffers: bool,
+    validate: bool,
+    analyze: bool,
+    extra_scripts: Optional[List[tuple]],
+) -> Tuple[str, Any]:
+    """:func:`generate_glue`'s cache miss: the glue source and its code."""
     if validate:
         validate_application(app, strict=True)
     mapping.validate(app, processor_count=num_processors)
@@ -249,10 +262,7 @@ def generate_glue(
             raise ModelError(f"glue script {name!r} failed: {exc}") from exc
 
     source = interp.output()
-    namespace = load_glue_source(source)
-    _cross_check(app, namespace)
-    _GLUE_CACHE.put(key, source)
-    return GlueModule(model_name=app.name, source=source, namespace=namespace)
+    return source, compile(source, filename="<sage-glue>", mode="exec")
 
 
 def _cross_check(app: ApplicationModel, namespace: Dict[str, Any]) -> None:

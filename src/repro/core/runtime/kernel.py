@@ -24,7 +24,6 @@ from ...machine.faults import FaultError, FaultPlan, NodeFailure
 from ...machine.platforms import PlatformSpec
 from ...machine.simulator import Environment, Event
 from ...mpi.detector import FailureDetector, HeartbeatConfig
-from ...perf.cache import cache_scope
 from ...perf.registry import REGISTRY
 from ..codegen.generator import GlueModule
 from ..model.hardware import HardwareModel
@@ -143,11 +142,6 @@ class SageRuntime:
         #: Retry rule of every message shipped (attempts, backoff, factor).
         self._retry_rule = (1 + (policy.max_retries if policy.retries_transfers else 0),
                             policy.backoff, policy.backoff_factor)
-        # The cache scope this run is billed to (a service job id, or None
-        # for standalone runs).  Scoped runs invalidate only entries they
-        # own exclusively, so one tenant's membership change cannot evict
-        # another tenant's cached placements (see repro.perf.cache).
-        self.job_scope = job_scope
         # Unfinished message transfers, in spawn order (a dict as an ordered
         # set): what recovery has to cancel.
         self._in_flight: Dict[Transfer, None] = {}
@@ -243,7 +237,8 @@ class SageRuntime:
     ) -> "SageRuntime":
         """Load ``glue`` onto a fresh engine and cluster of ``machine`` — a
         platform (``glue.num_processors`` nodes of it) or a hardware model —
-        with ``fault_plan``'s faults injected.  Returned unrun, so ``env``
+        with ``fault_plan``'s faults injected; ``job_scope`` (a service job
+        id) tags the trace.  Returned unrun, so ``env``
         (engine stats), ``cluster`` and ``trace`` outlive a run that raises."""
         env = Environment()
         if isinstance(machine, PlatformSpec):
@@ -317,18 +312,14 @@ class SageRuntime:
 
         self._start_detector()
         try:
-            # Everything derived during the run (striping plans, collective
-            # schedules) is tagged with the job scope, so the service can
-            # bill cache traffic per job and clear per tenant.
-            with cache_scope(self.job_scope):
-                if self.fault_policy.checkpoints:
-                    return self._run_checkpointed(iterations)
+            if self.fault_policy.checkpoints:
+                return self._run_checkpointed(iterations)
 
-                runs = []
-                for k in range(iterations):
-                    runs.extend(self._spawn_iteration(k))
-                self.env.run(until=self.env.all_of([run.done for run in runs]))
-                return self._build_result(iterations)
+            runs = []
+            for k in range(iterations):
+                runs.extend(self._spawn_iteration(k))
+            self.env.run(until=self.env.all_of([run.done for run in runs]))
+            return self._build_result(iterations)
         finally:
             self._stop_detector()
 

@@ -29,7 +29,6 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from ...kernels.cornerturn import row_block_bounds
 from ...perf.cache import named_cache
 from ...perf.registry import REGISTRY
 from ..model.datatypes import Striping
@@ -38,7 +37,6 @@ __all__ = [
     "AxisIndices",
     "Region",
     "thread_region",
-    "compute_thread_region",
     "intersect",
     "message_plan",
     "compute_message_plan",
@@ -165,33 +163,13 @@ class AxisIndices:
 Region = Tuple[AxisIndices, ...]
 
 
-#: regions/plans are pure functions of hashable striping parameters, so they
+#: Message plans are pure functions of hashable striping parameters, so they
 #: are memoized process-wide (see repro.perf.cache for invalidation).
-_REGION_CACHE = named_cache("striping.thread_region", maxsize=4096)
 _PLAN_CACHE = named_cache("striping.message_plan", maxsize=1024)
 
 
 def thread_region(shape: Tuple[int, ...], striping: Striping, threads: int, t: int) -> Region:
-    """The region of the logical data that thread ``t`` of ``threads`` owns.
-
-    Memoized: regions are immutable values derived from immutable inputs
-    (``Striping`` is a frozen dataclass), and the same (shape, striping,
-    threads, t) tuples recur on every iteration of every run.
-    """
-    key = (tuple(shape), striping, threads, t)
-    region = _REGION_CACHE._data.get(key)
-    if region is not None:
-        _REGION_CACHE.hits += 1
-        return region
-    return _REGION_CACHE.get(
-        key, lambda: compute_thread_region(shape, striping, threads, t)
-    )
-
-
-def compute_thread_region(
-    shape: Tuple[int, ...], striping: Striping, threads: int, t: int
-) -> Region:
-    """Uncached :func:`thread_region`; the property tests compare the two."""
+    """The region of the logical data that thread ``t`` of ``threads`` owns."""
     if threads <= 0:
         raise ValueError("threads must be positive")
     if not (0 <= t < threads):
@@ -203,8 +181,11 @@ def compute_thread_region(
         raise ValueError(f"stripe axis {axis} out of range for shape {shape}")
     extent = shape[axis]
     if striping.kind == "striped":
-        a, b = row_block_bounds(extent, threads)[t]
-        owned = AxisIndices.of_range(a, b)
+        # Entry t of row_block_bounds(extent, threads), without building
+        # the other threads' entries.
+        base, extra = divmod(extent, threads)
+        owned = AxisIndices(t * base + min(t, extra),
+                            (t + 1) * base + min(t + 1, extra))
     elif striping.kind == "cyclic":
         block = striping.block
         blocks = np.arange(extent) // block

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List
 
-from ..perf.cache import named_cache
 from .datatypes import payload_nbytes
 from .errors import MpiError
 
@@ -44,10 +43,6 @@ __all__ = ["get_algorithm", "ALGORITHMS", "alltoall_direct", "alltoall_pairwise"
 
 _TAG = (1 << 20) + 7  # reserved range, clear of user point-to-point tags
 
-#: (algorithm, size, rank) -> per-step partner tuples; pure arithmetic on
-#: immutable inputs, recomputed on every all-to-all call otherwise.
-_SCHEDULE_CACHE = named_cache("mpi.alltoall_schedule", maxsize=4096)
-
 
 def _tag(comm: Communicator) -> int:
     seq = getattr(comm, "_a2a_seq", 0)
@@ -58,28 +53,19 @@ def _tag(comm: Communicator) -> int:
 
 
 def partner_schedule(algorithm: str, size: int, rank: int):
-    """Cached per-step partner schedule for one rank of an all-to-all.
+    """Per-step partner schedule for one rank of an all-to-all.
 
     * ``pairwise``/``ring``: tuple of ``(send_to, recv_from)`` per step.
     * ``bruck``/``recursive_doubling``: tuple of
       ``(k, send_slots, dest, src)`` per round.
     """
-    key = (algorithm, size, rank)
-    cached = _SCHEDULE_CACHE.lookup(key)
-    if cached is not None:
-        return cached
-    if algorithm == "pairwise":
-        if size & (size - 1) == 0:
-            sched = tuple((rank ^ s, rank ^ s) for s in range(1, size))
-        else:
-            sched = tuple(
-                ((rank + s) % size, (rank - s) % size) for s in range(1, size)
-            )
-    elif algorithm == "ring":
-        sched = tuple(
+    if algorithm == "pairwise" and size & (size - 1) == 0:
+        return tuple((rank ^ s, rank ^ s) for s in range(1, size))
+    if algorithm in ("pairwise", "ring"):
+        return tuple(
             ((rank + s) % size, (rank - s) % size) for s in range(1, size)
         )
-    elif algorithm in ("bruck", "recursive_doubling"):
+    if algorithm in ("bruck", "recursive_doubling"):
         rounds = []
         k = 1
         while k < size:
@@ -90,11 +76,8 @@ def partner_schedule(algorithm: str, size: int, rank: int):
                 (rank - k) % size,
             ))
             k <<= 1
-        sched = tuple(rounds)
-    else:
-        raise MpiError(f"no partner schedule for algorithm {algorithm!r}")
-    _SCHEDULE_CACHE.put(key, sched)
-    return sched
+        return tuple(rounds)
+    raise MpiError(f"no partner schedule for algorithm {algorithm!r}")
 
 
 def alltoall_direct(comm: Communicator, blocks: List[Any]) -> Generator:

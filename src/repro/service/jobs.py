@@ -15,6 +15,7 @@ owns ordering and the per-tenant queue-depth quota.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..apps import corner_turn_model, fft2d_model
@@ -58,7 +59,18 @@ class JobSpec:
     time_budget: float = DEFAULT_TIME_BUDGET
 
     def validate(self) -> None:
-        if not self.tenant or not isinstance(self.tenant, str):
+        # Specs arrive from batch files: check types before comparing values.
+        for name in ("tenant", "app", "policy"):
+            if not isinstance(getattr(self, name), str):
+                raise InvalidJobSpec(f"{name} must be a string")
+        for name in ("size", "nodes", "iterations", "data_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise InvalidJobSpec(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.time_budget, Real) or isinstance(self.time_budget, bool):
+            raise InvalidJobSpec(
+                f"time_budget must be a number, got {self.time_budget!r}")
+        if not self.tenant:
             raise InvalidJobSpec("tenant must be a non-empty string")
         if self.app not in APPS:
             raise InvalidJobSpec(
@@ -80,7 +92,7 @@ class JobSpec:
             raise InvalidJobSpec(
                 f"unknown policy {self.policy!r}; choose from {POLICY_MODES}"
             )
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:
             raise InvalidJobSpec("time_budget must be positive")
 
     def build_model(self):
@@ -131,8 +143,6 @@ class JobResult:
     probe_events: int
     sim_events: int
     trace_digest: str
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 @dataclass

@@ -49,7 +49,6 @@ from ..core.codegen import generate_glue
 from ..core.runtime import DEFAULT_CONFIG, SageRuntime
 from ..core.runtime.policy import FaultPolicy
 from ..machine import PlatformSpec, get_platform
-from ..perf.cache import cache_scope, cache_stats, forget_scope
 from .bus import EventBus
 from .errors import (
     AdmissionError,
@@ -74,7 +73,7 @@ RESERVATION_SAFETY = 1.5
 
 def run_standalone(spec: JobSpec, platform: str = "cspi"):
     """Execute a spec exactly as the service does, but alone: a private
-    ``spec.nodes``-node cluster, no scheduler, no scopes.  The isolation
+    ``spec.nodes``-node cluster, no scheduler, no job tag.  The isolation
     invariant compares service runs against this reference."""
     spec.validate()
     return _run_spec(spec, get_platform(platform))
@@ -84,16 +83,15 @@ def _run_spec(spec: JobSpec, platform: PlatformSpec, job: Optional[str] = None):
     """Build and run ``spec`` on a private cluster of ``platform``; returns
     ``(RunResult, engine events)``.  The service's job body and
     :func:`run_standalone` both run here, so a job differs from its
-    standalone run only by ``job``: its cache scope and trace tag."""
-    with cache_scope(job):
-        model = spec.build_model()
-        mapping = benchmark_mapping(model, spec.nodes)
-        glue = generate_glue(model, mapping, num_processors=spec.nodes)
-        runtime = SageRuntime.build(
-            glue, platform, config=DEFAULT_CONFIG.timing_only(),
-            fault_policy=FaultPolicy.named(spec.policy), job_scope=job,
-        )
-        result = runtime.run(iterations=spec.iterations)
+    standalone run only by ``job``, its trace tag."""
+    model = spec.build_model()
+    mapping = benchmark_mapping(model, spec.nodes)
+    glue = generate_glue(model, mapping, num_processors=spec.nodes)
+    runtime = SageRuntime.build(
+        glue, platform, config=DEFAULT_CONFIG.timing_only(),
+        fault_policy=FaultPolicy.named(spec.policy), job_scope=job,
+    )
+    result = runtime.run(iterations=spec.iterations)
     return result, runtime.env.events_processed
 
 
@@ -304,13 +302,9 @@ class SageService:
                 job.id, f"{type(exc).__name__}: {exc}"
             )
             job.end_time = self.now
-            forget_scope(job.id)  # the job's cache-traffic row only
             self._push(self.now, "release", job)
             return self.now
 
-        traffic = cache_stats(job.id)
-        hits = sum(row["hits"] for row in traffic.values())
-        misses = sum(row["misses"] for row in traffic.values())
         job.result = JobResult(
             makespan=result.makespan,
             mean_latency=result.mean_latency,
@@ -318,8 +312,6 @@ class SageService:
             probe_events=len(result.trace),
             sim_events=sim_events,
             trace_digest=result.trace.digest(),
-            cache_hits=hits,
-            cache_misses=misses,
         )
         job._probe_counts = tuple(  # stashed for the telemetry message
             sorted(result.trace.counts_by_kind().items())
@@ -335,7 +327,6 @@ class SageService:
             job.state = "completed"
             t_end = self.now + result.makespan
         job.end_time = t_end
-        forget_scope(job.id)
         self._push(t_end, "release", job)
         return t_end
 

@@ -1,10 +1,13 @@
 """Unit tests for the repro.perf layer: keyed caches and the timer/counter
 registry."""
 
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import repro
 from repro.perf import (
     KeyedCache,
     PerfRegistry,
@@ -29,15 +32,6 @@ def test_keyed_cache_hit_miss_accounting():
     assert cache.stats() == {"hits": 1, "misses": 1, "size": 1}
 
 
-def test_keyed_cache_lookup_and_put():
-    cache = KeyedCache("t")
-    assert cache.lookup("k") is None
-    assert cache.misses == 1
-    cache.put("k", "v")
-    assert cache.lookup("k") == "v"
-    assert cache.hits == 1
-
-
 def test_keyed_cache_fifo_eviction_is_bounded():
     cache = KeyedCache("t", maxsize=3)
     for i in range(10):
@@ -49,7 +43,7 @@ def test_keyed_cache_fifo_eviction_is_bounded():
 
 def test_keyed_cache_clear():
     cache = KeyedCache("t")
-    cache.put("k", 1)
+    cache.get("k", lambda: 1)
     cache.clear()
     assert len(cache) == 0 and "k" not in cache
 
@@ -58,7 +52,7 @@ def test_named_cache_is_process_wide_singleton():
     a = named_cache("test.perf.singleton")
     b = named_cache("test.perf.singleton")
     assert a is b
-    a.put("x", 1)
+    a.get("x", lambda: 1)
     try:
         assert "test.perf.singleton" in cache_stats()
         evicted = clear_all_caches()
@@ -69,39 +63,22 @@ def test_named_cache_is_process_wide_singleton():
 
 
 def test_hot_path_caches_are_registered():
-    # Every caching layer documented in docs/PERFORMANCE.md must exist once
-    # its module is imported.
-    import repro.core.codegen.generator  # noqa: F401
-    import repro.core.runtime.striping  # noqa: F401
-    import repro.kernels.fft  # noqa: F401
-    import repro.mpi.vendor  # noqa: F401
-    from repro.core.alter.parser import parse_cached
-
-    parse_cached("1")  # the alter.parse cache registers on first use
-    names = set(cache_stats())
-    assert {
-        "striping.thread_region",
-        "striping.message_plan",
-        "codegen.glue_source",
-        "codegen.glue_code",
+    # Importing the package registers exactly the caches docs/PERFORMANCE.md
+    # lists: a cache that comes back must be measured and documented first.
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+    names = {name for name in cache_stats() if not name.startswith("test.")}
+    assert names == {
         "alter.parse",
-        "mpi.alltoall_schedule",
+        "codegen.glue_source",
+        "striping.message_plan",
         "kernels.fft_plan",
-    } <= names
+    }
 
 
 # ---------------------------------------------------------------------------
 # PerfRegistry
-
-
-def test_registry_timer_context_manager():
-    reg = PerfRegistry()
-    with reg.timer("stage") as t:
-        pass
-    assert t.elapsed is not None and t.elapsed >= 0.0
-    stats = reg.timers["stage"]
-    assert stats.count == 1
-    assert stats.total == t.elapsed
 
 
 def test_registry_timer_aggregates():

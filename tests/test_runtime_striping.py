@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import REPLICATED, cyclic, striped
+from repro.kernels.cornerturn import row_block_bounds
 from repro.core.runtime import (
     AxisIndices,
     BufferError,
@@ -125,8 +126,10 @@ class TestThreadRegion:
         regions = [
             thread_region(shape, striped(axis), threads, t) for t in range(threads)
         ]
-        # Disjoint along the axis, covering [0, extent)
+        # Disjoint along the axis, covering [0, extent), and the blocks the
+        # hand-coded kernels divide rows into
         spans = sorted((r[axis].start, r[axis].stop) for r in regions)
+        assert spans == row_block_bounds(extent, threads)
         assert spans[0][0] == 0 and spans[-1][1] == extent
         for (_a1, b1), (a2, _) in zip(spans, spans[1:]):
             assert b1 == a2

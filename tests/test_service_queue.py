@@ -23,6 +23,17 @@ class TestJobSpec:
         {"iterations": 0},
         {"policy": "yolo"},
         {"time_budget": 0.0},
+        # mistyped fields, as a batch file can carry them
+        {"size": "32"},
+        {"size": 32.0},
+        {"nodes": "2"},
+        {"nodes": True},
+        {"iterations": None},
+        {"data_seed": "a"},
+        {"app": ["fft2d"]},
+        {"time_budget": "5"},
+        {"time_budget": True},
+        {"time_budget": float("nan")},
     ])
     def test_invalid_specs_raise_typed(self, kw):
         with pytest.raises(InvalidJobSpec):
